@@ -15,7 +15,9 @@
 
 use multihonest::obs::{Heartbeat, ObsRecorder};
 use multihonest::sim::{SimConfig, Strategy, TieBreak};
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{
+    flag_value, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+};
 use multihonest_scenario::report::profile_headline;
 use multihonest_scenario::{
     run_horizon, run_horizon_observed, scenario_bench_report, HorizonOptions, LeaderProbs,
@@ -54,8 +56,8 @@ const KNOWN_FLAGS: [&str; 11] = [
 /// eviction and (optionally) WAL checkpointing — interrupt it and rerun
 /// the same command line to resume.
 fn run_horizon_cmd(args: &[String], seed: u64) {
-    let slots: usize = or_usage(parsed_flag(args, "--slots"), USAGE).unwrap_or(100_000_000);
-    let segment: usize = or_usage(parsed_flag(args, "--segment"), USAGE).unwrap_or(1 << 20);
+    let slots = or_usage(positive_flag(args, "--slots"), USAGE).unwrap_or(100_000_000);
+    let segment = or_usage(positive_flag(args, "--segment"), USAGE).unwrap_or(1 << 20);
     let wal = or_usage(flag_value(args, "--wal"), USAGE).map(std::path::PathBuf::from);
     let trace_path = or_usage(flag_value(args, "--trace"), USAGE).map(std::path::PathBuf::from);
     let events_path = or_usage(flag_value(args, "--events"), USAGE).map(std::path::PathBuf::from);
@@ -113,12 +115,15 @@ fn run_horizon_cmd(args: &[String], seed: u64) {
         eprintln!("events: -> {}", path.display());
     }
     if let Some(at) = report.resumed_at {
-        println!("resumed from WAL checkpoint at slot {at}");
+        println!("resumed from WAL checkpoint at slot {at} of {slots}");
     }
+    // The rate covers only what this process ran: a resumed prefix was
+    // executed by an earlier one.
+    let executed = slots - report.resumed_at.unwrap_or(0);
     println!(
         "horizon: {} slots in {seconds:.1}s ({:.2} Mslots/s wall, seed {seed}, segment {segment})",
-        slots,
-        slots as f64 / seconds.max(f64::MIN_POSITIVE) / 1e6
+        executed,
+        executed as f64 / seconds.max(f64::MIN_POSITIVE) / 1e6
     );
     println!(
         "eviction: {} compactions, peak live blocks {} ({:.1} blocks/Mslot retained)",

@@ -489,6 +489,15 @@ pub mod cli {
         }
     }
 
+    /// The value of `--flag` parsed as a count that must be at least 1;
+    /// `Ok(None)` when absent.
+    pub fn positive_flag(args: &[String], flag: &str) -> Result<Option<usize>, CliError> {
+        match parsed_flag(args, flag)? {
+            Some(0) => Err(CliError(format!("{flag} must be at least 1, found 0"))),
+            value => Ok(value),
+        }
+    }
+
     /// Fails on any `--` token outside `known` — catches typos like
     /// `--thread` before they are silently ignored.
     pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
@@ -571,6 +580,17 @@ pub mod cli {
         fn unparseable_value_names_the_flag() {
             let err = parsed_flag::<u64>(&args(&["--seed", "abc"]), "--seed").unwrap_err();
             assert_eq!(err.to_string(), "--seed: invalid value 'abc'");
+        }
+
+        #[test]
+        fn zero_count_names_the_flag() {
+            let err = positive_flag(&args(&["--segment", "0"]), "--segment").unwrap_err();
+            assert_eq!(err.to_string(), "--segment must be at least 1, found 0");
+            assert_eq!(
+                positive_flag(&args(&["--slots", "5"]), "--slots"),
+                Ok(Some(5))
+            );
+            assert_eq!(positive_flag(&args(&[]), "--slots"), Ok(None));
         }
 
         #[test]

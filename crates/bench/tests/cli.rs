@@ -118,3 +118,31 @@ proptest! {
         prop_assert_eq!(ok, expect, "{:?}", args);
     }
 }
+
+/// `scenario horizon` rejects zero counts where they enter: exit 2 with
+/// an error naming the flag, then the usage line, and never a panic.
+#[test]
+fn horizon_rejects_zero_counts() {
+    for (flag, args) in [
+        (
+            "--segment",
+            ["horizon", "--slots", "1000", "--segment", "0"],
+        ),
+        ("--slots", ["horizon", "--slots", "0", "--segment", "1024"]),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scenario"))
+            .args(args)
+            .output()
+            .expect("run the scenario binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "error: {flag} must be at least 1, found 0\nusage: "
+            )),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 0 ran anyway");
+    }
+}

@@ -10,7 +10,12 @@
 //! * the schedule is sampled **per segment** through
 //!   [`ColumnarSchedule::resample_segment`] from one long-lived RNG —
 //!   draw-for-draw identical to sampling the whole horizon at once,
-//!   because every slot consumes a fixed number of draws;
+//!   because every slot consumes a fixed number of draws. Sampling reads
+//!   nothing the kernel writes, so it runs **one segment ahead** on a
+//!   helper thread that owns the RNG: while the kernel executes segment
+//!   `i`, the helper draws segment `i + 1` into the second of two
+//!   schedule buffers that circulate between the threads. The draw order
+//!   is the sequential one, so the pipeline changes no result;
 //! * at each segment boundary the driver looks for a **fully settled
 //!   point** — every honest tip unanimous, the delivery ring idle, the
 //!   strategy holding no other live block reference
@@ -48,6 +53,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,9 +70,12 @@ use crate::schedule::{ColumnarSchedule, LeaderProbs};
 /// Tuning and safety knobs of one [`run_horizon`] call.
 #[derive(Debug, Clone)]
 pub struct HorizonOptions {
-    /// Slots per schedule segment (and per compaction attempt). Larger
-    /// segments amortize sampling better; smaller ones compact — and
-    /// checkpoint — more often. Must be ≥ 1.
+    /// Slots per schedule segment: the unit the sampling thread hands to
+    /// the kernel, and the spacing of compaction attempts. Smaller
+    /// segments compact — and checkpoint — more often at one buffer
+    /// handoff each. The second buffer costs 5 bytes per segment slot
+    /// plus 4 per honest leader (about 6 bytes per slot at f = 0.25).
+    /// Must be ≥ 1.
     pub segment_slots: usize,
     /// Settlement parameters to aggregate violation counts for.
     pub ks: Vec<usize>,
@@ -379,8 +388,8 @@ impl WalWriter {
 /// # Errors
 ///
 /// Fails when the WAL exists but belongs to different parameters, on any
-/// WAL I/O error, or when [`HorizonOptions::max_live_blocks`] is
-/// exceeded.
+/// WAL I/O error, when [`HorizonOptions::max_live_blocks`] is exceeded,
+/// or when the sampling thread cannot be spawned.
 ///
 /// # Panics
 ///
@@ -396,11 +405,13 @@ pub fn run_horizon(
 }
 
 /// [`run_horizon`] with an obs [`Recorder`] and an optional stderr
-/// [`Heartbeat`] attached: segment / compaction / WAL-append spans,
-/// live-arena and peak-RSS gauges, and a periodic progress line. The
-/// recorder only observes, so an instrumented run produces a report
-/// bit-identical to [`run_horizon`]'s (the plain entry point delegates
-/// here with the `()` recorder, paying nothing).
+/// [`Heartbeat`] attached: segment / compaction / WAL-append spans (and
+/// inside each segment a `horizon.sample_wait` span: the kernel's wait
+/// for the sampling thread), live-arena and peak-RSS gauges, and a
+/// periodic progress line. The recorder only observes, so an
+/// instrumented run produces a report bit-identical to
+/// [`run_horizon`]'s (the plain entry point delegates here with the `()`
+/// recorder, paying nothing per segment).
 pub fn run_horizon_observed<R: Recorder>(
     config: &SimConfig,
     probs: &LeaderProbs,
@@ -497,119 +508,162 @@ pub fn run_horizon_observed<R: Recorder>(
         (None, _) => None,
     };
 
-    while done < total {
-        let last = (done + seg).min(total);
-        rec.span_begin("horizon.segment");
-        schedule.resample_segment(probs, last - done, &mut rng);
-        active_slots += schedule.active_slots();
-        run_slots(
-            &mut arena,
-            &mut core,
-            config,
-            &schedule,
-            done,
-            done + 1,
-            last,
-            strategy.as_mut(),
-            false,
-            &mut (),
-            &mut (),
-            &mut faults,
-            &mut (),
-        );
-        rec.span_end("horizon.segment");
-        done = last;
-        peak_live = peak_live.max(arena.store.len());
-        rec.gauge("horizon.live_blocks", arena.store.len() as i64);
-        rec.gauge("horizon.peak_live_blocks", peak_live as i64);
-        if let Some(rss) = multihonest_obs::peak_rss_bytes() {
-            rec.gauge("process.peak_rss_bytes", rss.min(i64::MAX as u64) as i64);
+    // The sampler thread owns the RNG and draws segment i + 1 while this
+    // thread runs segment i. `filled` carries a drawn segment and its
+    // active-slot count here and `spent` returns the buffer: with two
+    // buffers the sampler is never more than one segment ahead. Every
+    // return from the closure drops this side's channel ends, which stops
+    // the sampler before the scope joins it.
+    std::thread::scope(|scope| -> io::Result<()> {
+        let (spent_tx, spent_rx) = mpsc::sync_channel::<ColumnarSchedule>(2);
+        let (filled_tx, filled_rx) = mpsc::sync_channel::<(ColumnarSchedule, usize)>(1);
+        for buffer in [schedule, ColumnarSchedule::empty()] {
+            spent_tx
+                .send(buffer)
+                .expect("the spent channel holds both buffers");
         }
-        if let Some(hb) = heartbeat.as_deref_mut() {
-            if let Some(elapsed) = hb.due() {
-                // Rate over this run only: exclude any resumed prefix.
-                let base = resumed_at.unwrap_or(0);
-                eprintln!(
-                    "{}",
-                    heartbeat_line(
-                        "horizon",
-                        (done - base) as u64,
-                        (total - base) as u64,
-                        "slots",
-                        elapsed
-                    )
-                );
-            }
-        }
-
-        // Compaction attempt: only meaningful mid-run (the final state
-        // is drained by the finish below) and only at a fully settled
-        // point the strategy agrees to.
-        if done < total && done.is_multiple_of(seg) {
-            let tip = arena.tips[0];
-            if arena.tips.iter().all(|&t| t == tip)
-                && arena.ring.is_idle()
-                && strategy.compact_to_root(BlockId::from_index(tip as usize), BlockId::GENESIS)
-            {
-                debug_assert_eq!(core.cached_div, 0, "unanimous tips imply zero divergence");
-                rec.span_begin("horizon.compaction");
-                core.fold.advance_base(done, |s, e, l| agg.drain(s, e, l));
-                core.fold.rebase_unanimous_root();
-                let mut cur = tip;
-                while let Some(p) = arena.store.parent(cur) {
-                    prefix_blocks += 1;
-                    prefix_honest += usize::from(arena.store.is_honest(cur));
-                    cur = p;
+        let first = done;
+        std::thread::Builder::new()
+            .name("horizon-sampler".into())
+            .spawn_scoped(scope, move || {
+                let mut start = first;
+                while start < total {
+                    let Ok(mut schedule) = spent_rx.recv() else {
+                        return;
+                    };
+                    let len = seg.min(total - start);
+                    schedule.resample_segment(probs, len, &mut rng);
+                    let active = schedule.active_slots();
+                    if filled_tx.send((schedule, active)).is_err() {
+                        return;
+                    }
+                    start += len;
                 }
-                arena.compact_to_root(n, tip);
-                core.cached_tip_block = 0;
-                compactions += 1;
-                rec.span_end("horizon.compaction");
-                rec.counter("horizon.compactions", 1);
-                if let Some(w) = &mut wal {
-                    rec.span_begin("horizon.wal_append");
-                    let (acc_slots, acc_max_div, acc_rollbacks) = core.acc.state();
-                    let appended = w.append(&WalRecord {
-                        slot: done as u64,
-                        root_slot: arena.store.slot(0) as u64,
-                        root_height: arena.store.height(0) as u64,
-                        root_issuer: u64::from(arena.store.issuer(0)),
-                        root_honest: u64::from(arena.store.is_honest(0)),
-                        acc_slots: acc_slots as u64,
-                        acc_max_div: acc_max_div as u64,
-                        acc_rollbacks: acc_rollbacks as u64,
-                        active_slots: active_slots as u64,
-                        prefix_blocks: prefix_blocks as u64,
-                        prefix_honest: prefix_honest as u64,
-                        compactions,
-                        peak_live: peak_live as u64,
-                        max_lag: agg.max_lag.map_or(u64::MAX, |l| l as u64),
-                        counts: agg.counts.clone(),
-                        first: agg
-                            .first
-                            .iter()
-                            .map(|f| f.map_or(u64::MAX, |s| s as u64))
-                            .collect(),
-                        strategy: strategy.checkpoint_state(),
-                    });
-                    rec.span_end("horizon.wal_append");
-                    rec.counter("horizon.wal_appends", 1);
-                    appended?;
+            })?;
+
+        while done < total {
+            let last = (done + seg).min(total);
+            rec.span_begin("horizon.segment");
+            rec.span_begin("horizon.sample_wait");
+            let (schedule, active) = filled_rx
+                .recv()
+                .expect("the sampling thread draws every segment of the horizon");
+            rec.span_end("horizon.sample_wait");
+            active_slots += active;
+            run_slots(
+                &mut arena,
+                &mut core,
+                config,
+                &schedule,
+                done,
+                done + 1,
+                last,
+                strategy.as_mut(),
+                false,
+                &mut (),
+                &mut (),
+                &mut faults,
+                &mut (),
+            );
+            // Fails only once the sampler has drawn the last segment.
+            let _ = spent_tx.send(schedule);
+            rec.span_end("horizon.segment");
+            done = last;
+            peak_live = peak_live.max(arena.store.len());
+            rec.gauge("horizon.live_blocks", arena.store.len() as i64);
+            rec.gauge("horizon.peak_live_blocks", peak_live as i64);
+            if let Some(hb) = heartbeat.as_deref_mut() {
+                if let Some(elapsed) = hb.due() {
+                    // Rate over this run only: exclude any resumed prefix.
+                    let base = resumed_at.unwrap_or(0);
+                    eprintln!(
+                        "{}",
+                        heartbeat_line(
+                            "horizon",
+                            (done - base) as u64,
+                            (total - base) as u64,
+                            "slots",
+                            elapsed
+                        )
+                    );
                 }
             }
-        }
 
-        if opts.max_live_blocks > 0 && arena.store.len() > opts.max_live_blocks {
-            return Err(io::Error::new(
-                io::ErrorKind::OutOfMemory,
-                format!(
-                    "live arena exceeded the memory bound at slot {done}: {} blocks > {} \
-                     (no settled compaction point accepted recently)",
-                    arena.store.len(),
-                    opts.max_live_blocks
-                ),
-            ));
+            // Compaction attempt: only meaningful mid-run (the final
+            // state is drained by the finish below) and only at a fully
+            // settled point the strategy agrees to.
+            if done < total && done.is_multiple_of(seg) {
+                let tip = arena.tips[0];
+                if arena.tips.iter().all(|&t| t == tip)
+                    && arena.ring.is_idle()
+                    && strategy.compact_to_root(BlockId::from_index(tip as usize), BlockId::GENESIS)
+                {
+                    debug_assert_eq!(core.cached_div, 0, "unanimous tips imply zero divergence");
+                    rec.span_begin("horizon.compaction");
+                    core.fold.advance_base(done, |s, e, l| agg.drain(s, e, l));
+                    core.fold.rebase_unanimous_root();
+                    let mut cur = tip;
+                    while let Some(p) = arena.store.parent(cur) {
+                        prefix_blocks += 1;
+                        prefix_honest += usize::from(arena.store.is_honest(cur));
+                        cur = p;
+                    }
+                    arena.compact_to_root(n, tip);
+                    core.cached_tip_block = 0;
+                    compactions += 1;
+                    rec.span_end("horizon.compaction");
+                    rec.counter("horizon.compactions", 1);
+                    if let Some(w) = &mut wal {
+                        rec.span_begin("horizon.wal_append");
+                        let (acc_slots, acc_max_div, acc_rollbacks) = core.acc.state();
+                        let appended = w.append(&WalRecord {
+                            slot: done as u64,
+                            root_slot: arena.store.slot(0) as u64,
+                            root_height: arena.store.height(0) as u64,
+                            root_issuer: u64::from(arena.store.issuer(0)),
+                            root_honest: u64::from(arena.store.is_honest(0)),
+                            acc_slots: acc_slots as u64,
+                            acc_max_div: acc_max_div as u64,
+                            acc_rollbacks: acc_rollbacks as u64,
+                            active_slots: active_slots as u64,
+                            prefix_blocks: prefix_blocks as u64,
+                            prefix_honest: prefix_honest as u64,
+                            compactions,
+                            peak_live: peak_live as u64,
+                            max_lag: agg.max_lag.map_or(u64::MAX, |l| l as u64),
+                            counts: agg.counts.clone(),
+                            first: agg
+                                .first
+                                .iter()
+                                .map(|f| f.map_or(u64::MAX, |s| s as u64))
+                                .collect(),
+                            strategy: strategy.checkpoint_state(),
+                        });
+                        rec.span_end("horizon.wal_append");
+                        rec.counter("horizon.wal_appends", 1);
+                        appended?;
+                    }
+                }
+            }
+
+            if opts.max_live_blocks > 0 && arena.store.len() > opts.max_live_blocks {
+                return Err(io::Error::new(
+                    io::ErrorKind::OutOfMemory,
+                    format!(
+                        "live arena exceeded the memory bound at slot {done}: {} blocks > {} \
+                         (no settled compaction point accepted recently)",
+                        arena.store.len(),
+                        opts.max_live_blocks
+                    ),
+                ));
+            }
         }
+        Ok(())
+    })?;
+    // VmHWM is a high-water mark, so one read after the run records what
+    // a read per segment would.
+    if let Some(rss) = multihonest_obs::peak_rss_bytes() {
+        rec.gauge("process.peak_rss_bytes", rss.min(i64::MAX as u64) as i64);
     }
 
     // Finish: drain the remaining fold window and walk the in-window

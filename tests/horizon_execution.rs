@@ -52,18 +52,27 @@ fn unsegmented(config: &SimConfig, seed: u64) -> (Metrics, DivergenceIndex) {
 }
 
 fn assert_law(report: &HorizonReport, config: &SimConfig, seed: u64, opts: &HorizonOptions) {
-    let (metrics, divergence) = unsegmented(config, seed);
-    assert_eq!(report.metrics, metrics);
+    assert_matches(report, &unsegmented(config, seed), opts);
+}
+
+/// [`assert_law`] against a ground truth computed once.
+fn assert_matches(
+    report: &HorizonReport,
+    (metrics, divergence): &(Metrics, DivergenceIndex),
+    opts: &HorizonOptions,
+) {
+    let segment = opts.segment_slots;
+    assert_eq!(&report.metrics, metrics, "metrics at segment {segment}");
     for (i, &k) in opts.ks.iter().enumerate() {
         assert_eq!(
             report.violating_anchors[i],
             divergence.count_violations(k, usize::MAX) as u64,
-            "violation count at k={k}"
+            "violation count at k={k}, segment {segment}"
         );
         assert_eq!(
             report.first_violation[i],
             divergence.first_violation(k),
-            "first violating anchor at k={k}"
+            "first violating anchor at k={k}, segment {segment}"
         );
     }
 }
@@ -102,18 +111,33 @@ fn eviction_preserves_the_streaming_report_withholding() {
 /// withholding strategy's private branch is stale (pending a restart),
 /// the case where an over-eager rebase once pinned the restart to the
 /// compaction-time public height instead of the restart-time one.
+///
+/// The segment is also the unit the sampling thread hands to the
+/// kernel, so the sizes cover that stage's extremes: a segment longer
+/// than the horizon (one handoff, nothing to draw ahead) and a small odd
+/// one (thousands of buffer round trips and a partial last segment).
 #[test]
 fn report_is_invariant_under_segment_size() {
     let config = cfg(Strategy::PrivateWithholding, 120_000);
-    let (metrics, _) = unsegmented(&config, 11);
-    for segment_slots in [512, 4096, 32_768] {
+    let truth = unsegmented(&config, 11);
+    for segment_slots in [512, 4096, 32_768, 200_000] {
         let opts = HorizonOptions {
             segment_slots,
             ..small_opts()
         };
         let report = run_horizon(&config, &probs(&config), 11, &opts).expect("horizon run");
-        assert_eq!(report.metrics, metrics, "segment size {segment_slots}");
+        assert_matches(&report, &truth, &opts);
     }
+
+    // 30,000 = 7 · 4,285 + 5.
+    let config = cfg(Strategy::PrivateWithholding, 30_000);
+    let opts = HorizonOptions {
+        segment_slots: 7,
+        ..small_opts()
+    };
+    let report = run_horizon(&config, &probs(&config), 11, &opts).expect("horizon run");
+    assert!(report.compactions > 0, "7-slot segments must compact");
+    assert_law(&report, &config, 11, &opts);
 }
 
 #[test]
