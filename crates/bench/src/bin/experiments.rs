@@ -12,16 +12,28 @@
 //! DP-heavy sections (default: all cores).
 
 use multihonest_bench as bench;
+use multihonest_bench::cli::{known_positionals, or_usage, positive_flag, reject_unknown_flags};
 
 const USAGE: &str = "experiments [--quick] [--json] [--threads <n>] [experiment-names...]";
 
+const KNOWN_FLAGS: [&str; 3] = ["--quick", "--json", "--threads"];
+
+const SECTIONS: [&str; 5] = [
+    "bound-vs-exact",
+    "tiebreak",
+    "delta-sync",
+    "thresholds",
+    "catalan-tails",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    let wanted = or_usage(known_positionals(&args, &["--threads"], &SECTIONS), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let threads = bench::cli::or_usage(bench::cli::parsed_flag(&args, "--threads"), USAGE)
-        .unwrap_or_else(bench::default_threads);
-    let wanted = bench::cli::positionals(&args, &["--threads"]);
+    let threads =
+        or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(bench::default_threads);
     let run = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     if run("bound-vs-exact") {

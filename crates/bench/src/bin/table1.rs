@@ -14,7 +14,9 @@
 //! cargo run -p multihonest-bench --release --bin table1 -- --threads 4
 //! ```
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag};
+use multihonest_bench::cli::{
+    flag_value, known_positionals, or_usage, positive_flag, reject_unknown_flags,
+};
 use multihonest_bench::{
     bench_report, default_threads, generate_table1_threads, render_table1, TABLE1_ALPHAS,
     TABLE1_KS, TABLE1_RATIOS,
@@ -22,12 +24,20 @@ use multihonest_bench::{
 
 const USAGE: &str = "table1 [bench-report] [--quick] [--json] [--threads <n>] [--out <path>]";
 
+const KNOWN_FLAGS: [&str; 4] = ["--quick", "--json", "--threads", "--out"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    let modes = or_usage(
+        known_positionals(&args, &["--threads", "--out"], &["bench-report"]),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let report_mode = args.iter().any(|a| a == "bench-report");
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let report_mode = modes.contains(&"bench-report");
+    let threads =
+        or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
     // Quick-grid reports default to a separate file: BENCH_margin.json is
     // the committed full-grid baseline and must not be silently clobbered
     // with incomparable quick-grid numbers.
@@ -78,6 +88,8 @@ fn main() {
             cells.len(),
             elapsed
         );
-        eprintln!("note: published k = 500 row under-reports; see EXPERIMENTS.md finding F1");
+        eprintln!(
+            "note: published k = 500 row under-reports; see README.md, \"Reproduction findings\", F1"
+        );
     }
 }

@@ -526,6 +526,21 @@ pub mod cli {
             .collect()
     }
 
+    /// [`positionals`], failing on any outside `known` — catches a
+    /// mistyped subcommand or section name before it silently selects
+    /// nothing.
+    pub fn known_positionals<'a>(
+        args: &'a [String],
+        value_flags: &[&str],
+        known: &[&str],
+    ) -> Result<Vec<&'a str>, CliError> {
+        let found = positionals(args, value_flags);
+        match found.iter().find(|p| !known.contains(p)) {
+            Some(p) => Err(CliError(format!("unknown argument '{p}'"))),
+            None => Ok(found),
+        }
+    }
+
     /// Unwraps a parse result or prints `error: ...` plus the usage
     /// string to stderr and exits with status 2.
     pub fn or_usage<T>(result: Result<T, CliError>, usage: &str) -> T {
@@ -604,6 +619,17 @@ pub mod cli {
         fn positionals_skip_flag_values() {
             let a = args(&["run", "--seed", "3", "fast", "--quick"]);
             assert_eq!(positionals(&a, &["--seed"]), vec!["run", "fast"]);
+        }
+
+        #[test]
+        fn unknown_positionals_are_caught() {
+            let a = args(&["run", "--seed", "3", "fast"]);
+            assert_eq!(
+                known_positionals(&a, &["--seed"], &["run", "fast"]),
+                Ok(vec!["run", "fast"])
+            );
+            let err = known_positionals(&a, &["--seed"], &["run"]).unwrap_err();
+            assert_eq!(err.to_string(), "unknown argument 'fast'");
         }
     }
 }

@@ -146,3 +146,50 @@ fn horizon_rejects_zero_counts() {
         assert!(out.stdout.is_empty(), "{flag} 0 ran anyway");
     }
 }
+
+/// `table1` and `experiments` reject unknown flags, unknown positional
+/// arguments and `--threads 0` before doing any work: exit 2 with an
+/// error naming the offending token, then the usage line, and never a
+/// panic.
+#[test]
+fn table1_and_experiments_reject_malformed_command_lines() {
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    for (bin, args, error) in [
+        (table1, &["--bogus"][..], "unknown flag '--bogus'"),
+        (
+            table1,
+            &["--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (
+            table1,
+            &["--quick", "bogus"][..],
+            "unknown argument 'bogus'",
+        ),
+        (experiments, &["--bogus"][..], "unknown flag '--bogus'"),
+        (
+            experiments,
+            &["--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (
+            experiments,
+            &["--quick", "tie-break"][..],
+            "unknown argument 'tie-break'",
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {error}\nusage: ")),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
+    }
+}

@@ -54,6 +54,11 @@ pub struct CharString {
 }
 
 impl CharString {
+    /// Reserves room for at least `additional` more symbols.
+    pub fn reserve(&mut self, additional: usize) {
+        self.symbols.reserve(additional);
+    }
+
     /// Creates the empty string `ε`.
     pub fn new() -> CharString {
         CharString::default()
@@ -302,6 +307,11 @@ pub struct SemiString {
 }
 
 impl SemiString {
+    /// Reserves room for at least `additional` more symbols.
+    pub fn reserve(&mut self, additional: usize) {
+        self.symbols.reserve(additional);
+    }
+
     /// Creates the empty string.
     pub fn new() -> SemiString {
         SemiString::default()

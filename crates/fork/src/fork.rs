@@ -72,6 +72,16 @@ impl Fork {
         }
     }
 
+    /// Reserves room for `slots` more symbols and `vertices` more
+    /// vertices, so a producer that knows its horizon grows the fork
+    /// without reallocating.
+    pub(crate) fn reserve(&mut self, slots: usize, vertices: usize) {
+        self.w.reserve(slots);
+        self.labels.reserve(vertices);
+        self.children.reserve(vertices);
+        self.anc.reserve(vertices);
+    }
+
     /// Creates the trivial fork for the empty string `ε`.
     pub fn trivial() -> Fork {
         Fork::new(CharString::new())

@@ -199,6 +199,14 @@ impl StreamValidator {
         }
     }
 
+    /// Reserves room for `slots` more slots.
+    fn reserve(&mut self, slots: usize) {
+        self.syms.reserve(slots);
+        self.counts.reserve(slots);
+        self.prefix.tree.reserve(slots);
+        self.suffix.tree.reserve(slots);
+    }
+
     /// The delay bound Δ this validator checks (F4Δ) against.
     pub fn delta(&self) -> usize {
         self.delta
@@ -386,6 +394,14 @@ impl ForkFold {
     /// The delay bound Δ validated against.
     pub fn delta(&self) -> usize {
         self.validator.delta()
+    }
+
+    /// Reserves room for `slots` more slots and `vertices` more vertices,
+    /// so a producer that knows its horizon folds without reallocating.
+    pub fn reserve(&mut self, slots: usize, vertices: usize) {
+        self.fork.reserve(slots, vertices);
+        self.semi.reserve(slots);
+        self.validator.reserve(slots);
     }
 
     /// The fork built so far.

@@ -209,9 +209,9 @@ impl SlotContext for ColumnarSlotContext<'_> {
 }
 
 /// A per-slot observer threaded through the columnar engine loop — the
-/// attachment point of the streaming fork pipeline
-/// ([`crate::pipeline::ForkPipeline`]) and any other consumer that wants
-/// the block arena slot by slot instead of post-hoc.
+/// attachment point of the streaming fork pipeline ([`crate::pipeline`])
+/// and any other consumer that wants the block arena slot by slot
+/// instead of post-hoc.
 ///
 /// [`on_slot_end`](SlotHook::on_slot_end) fires once per slot, after the
 /// slot's minting, adversarial moves, deliveries and metrics fold: the

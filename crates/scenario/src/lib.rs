@@ -69,8 +69,8 @@ pub use crate::batch::{BatchExecution, TrialOutput};
 pub use crate::engine::{ColumnarSimulation, ExecutionArena, SlotHook, ENGINE_KERNEL_VERSION};
 pub use crate::horizon::{run_horizon, run_horizon_observed, HorizonOptions, HorizonReport};
 pub use crate::pipeline::{
-    run_streaming_validated, run_streaming_validated_faults_in, ForkPipeline, PipelineOutput,
-    ValidatedExecution,
+    run_streaming_validated, run_streaming_validated_faults_in, PipelineOutput, ValidatedExecution,
+    HANDOFF_SLOTS,
 };
 pub use crate::profile::{Phase, PhaseTimes};
 pub use crate::report::{scenario_bench_report, ScenarioBenchReport, ScenarioRow};

@@ -65,19 +65,6 @@ impl Phase {
             Phase::Hook => "hook",
         }
     }
-
-    /// The phase's index into [`Phase::ALL`]-ordered arrays.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            Phase::Mint => 0,
-            Phase::Strategy => 1,
-            Phase::Drain => 2,
-            Phase::Merge => 3,
-            Phase::Fold => 4,
-            Phase::Hook => 5,
-        }
-    }
 }
 
 /// Accumulated wall-clock time per kernel phase — the `--profile`

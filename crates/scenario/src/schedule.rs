@@ -281,6 +281,14 @@ impl ColumnarSchedule {
         }
     }
 
+    /// Honest leader seats plus adversarially led slots: the blocks a
+    /// fault-free execution mints when the adversary mints at most once
+    /// per slot it leads, as the built-in strategies do. A capacity hint
+    /// for per-block storage.
+    pub(crate) fn block_hint(&self) -> usize {
+        self.honest.len() + self.adversarial.iter().filter(|&&a| a).count()
+    }
+
     /// Slots with at least one leader.
     pub fn active_slots(&self) -> usize {
         (1..=self.len())

@@ -473,27 +473,26 @@ pub mod golden {
         ("withholding-lag16", 1, 20_000, 0x7313_596e_80c2_d096),
     ];
 
-    /// Runs the named scenario preset through the streaming fork pipeline
-    /// ([`run_streaming_validated`]) and folds its outputs into one word
-    /// (see [`STREAMING_VALIDATION_PINS`]).
+    /// The SplitMix-style step the streaming pins fold with.
+    #[inline]
+    fn mix(h: u64, v: u64) -> u64 {
+        let mut z = h ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Runs the named scenario preset through [`run_streaming_validated`],
+    /// streaming its events into `sink`.
     ///
     /// [`run_streaming_validated`]: multihonest::scenario::run_streaming_validated
-    pub fn streaming_validation_fingerprint(name: &str, seed: u64, slots: usize) -> u64 {
+    fn run_validated_preset<S: multihonest::sim::MetricsSink>(
+        name: &str,
+        seed: u64,
+        slots: usize,
+        sink: &mut S,
+    ) -> multihonest::scenario::ValidatedExecution {
         use multihonest::scenario::{run_streaming_validated, scenario_library};
-        use multihonest::sim::MetricsSink;
-        #[inline]
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut z = h ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        struct FpSink(u64);
-        impl MetricsSink for FpSink {
-            fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
-                self.0 = mix(mix(mix(self.0, slot as u64), rho as u64), margin as u64);
-            }
-        }
         let lib = scenario_library(slots);
         let sc = lib
             .iter()
@@ -501,8 +500,24 @@ pub mod golden {
             .unwrap_or_else(|| panic!("unknown streaming pin scenario {name:?}"));
         let mut strategy = sc.strategy();
         let schedule = sc.schedule(seed);
+        run_streaming_validated(&sc.config, &schedule, strategy.as_mut(), sink)
+    }
+
+    /// Runs the named scenario preset through the streaming fork pipeline
+    /// ([`run_streaming_validated`]) and folds its outputs into one word
+    /// (see [`STREAMING_VALIDATION_PINS`]).
+    ///
+    /// [`run_streaming_validated`]: multihonest::scenario::run_streaming_validated
+    pub fn streaming_validation_fingerprint(name: &str, seed: u64, slots: usize) -> u64 {
+        use multihonest::sim::MetricsSink;
+        struct FpSink(u64);
+        impl MetricsSink for FpSink {
+            fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
+                self.0 = mix(mix(mix(self.0, slot as u64), rho as u64), margin as u64);
+            }
+        }
         let mut sink = FpSink(0);
-        let out = run_streaming_validated(&sc.config, &schedule, strategy.as_mut(), &mut sink);
+        let out = run_validated_preset(name, seed, slots, &mut sink);
         let mut h = sink.0;
         h = mix(h, out.pipeline.fork.vertex_count() as u64);
         h = mix(h, u64::from(out.pipeline.validation.is_ok()));
@@ -523,6 +538,71 @@ pub mod golden {
                 "streaming pipeline drifted on scenario {name:?} seed {seed} slots {slots}"
             );
         }
+    }
+
+    /// Frozen **streaming-fork structure pin**: `(scenario name, seed,
+    /// slots, fingerprint)` computed by [`streaming_fork_fingerprint`].
+    /// Where [`STREAMING_VALIDATION_PINS`] sees only the margin channel
+    /// and the fork's size, this one digests every vertex's `(parent,
+    /// label)` and the interleaved `on_slot` / `on_rollback` /
+    /// `on_margin` event stream, so a fork of the right size with wrong
+    /// parents, or a margin event fired in a different slot-end, flips
+    /// it.
+    pub const STREAMING_FORK_PIN: (&str, u64, usize, u64) =
+        ("private-withholding", 1, 100_000, 0x2afb_a427_9aa1_4416);
+
+    /// Runs the named scenario preset through [`run_streaming_validated`]
+    /// and folds the tagged sink event stream, every fork vertex's
+    /// `(parent, label)` in id order, the verdict and the final `(ρ, µ)`
+    /// into one word (see [`STREAMING_FORK_PIN`]).
+    ///
+    /// [`run_streaming_validated`]: multihonest::scenario::run_streaming_validated
+    pub fn streaming_fork_fingerprint(name: &str, seed: u64, slots: usize) -> u64 {
+        use multihonest::sim::MetricsSink;
+        struct EventSink(u64);
+        impl EventSink {
+            fn event(&mut self, tag: u64, fields: [u64; 4]) {
+                self.0 = fields.iter().fold(mix(self.0, tag), |h, &f| mix(h, f));
+            }
+        }
+        impl MetricsSink for EventSink {
+            fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
+                self.event(1, [slot as u64, old_height as u64, new_height as u64, 0]);
+            }
+            fn on_slot(&mut self, slot: usize, tips: usize, height: usize, divergence: usize) {
+                self.event(
+                    2,
+                    [slot as u64, tips as u64, height as u64, divergence as u64],
+                );
+            }
+            fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
+                self.event(3, [slot as u64, rho as u64, margin as u64, 0]);
+            }
+        }
+        let mut sink = EventSink(0);
+        let out = run_validated_preset(name, seed, slots, &mut sink);
+        let fork = &out.pipeline.fork;
+        let mut h = sink.0;
+        for v in fork.vertices().skip(1) {
+            let parent = fork.parent(v).expect("non-root vertex").index();
+            h = mix(mix(h, parent as u64), fork.label(v) as u64);
+        }
+        h = mix(h, fork.vertex_count() as u64);
+        h = mix(h, u64::from(out.pipeline.validation.is_ok()));
+        h = mix(h, out.pipeline.rho as u64);
+        h = mix(h, out.pipeline.margin as u64);
+        h
+    }
+
+    /// Asserts [`STREAMING_FORK_PIN`]: the streamed fork's structure and
+    /// the interleaved sink event stream reproduce exactly.
+    pub fn assert_streaming_fork_pin() {
+        let (name, seed, slots, pinned) = STREAMING_FORK_PIN;
+        assert_eq!(
+            streaming_fork_fingerprint(name, seed, slots),
+            pinned,
+            "streamed fork or event stream drifted on scenario {name:?} seed {seed} slots {slots}"
+        );
     }
 
     /// The frozen campaign-pin spec: a 4-cell sweep small enough for

@@ -2,14 +2,18 @@
 //! equal the batch `validate_delta` oracle (at the `is_ok` level — the
 //! streaming parity contract) over random strategy × Δ × fault
 //! executions on **both** engines, the streamed columnar fork must be
-//! bit-identical to the reference engine's extraction, and the frozen
-//! 10⁵-slot streaming-validation fingerprints in `testutil` must
-//! reproduce exactly.
+//! bit-identical to the reference engine's extraction, the laws must
+//! hold at every horizon around the kernel → fork-fold hand-off
+//! boundaries, and the frozen 10⁵-slot streaming-validation
+//! fingerprints in `testutil` must reproduce exactly.
 
 use multihonest::fork::validate::validate_delta;
+use multihonest::margin::recurrence;
 use multihonest::prelude::*;
-use multihonest::scenario::{run_streaming_validated_faults_in, ColumnarSchedule, ExecutionArena};
-use multihonest::sim::{FaultDirective, FaultPlan};
+use multihonest::scenario::{
+    run_streaming_validated_faults_in, ColumnarSchedule, ExecutionArena, HANDOFF_SLOTS,
+};
+use multihonest::sim::{FaultDirective, FaultPlan, MetricsSink};
 // `Strategy` would be ambiguous between the prelude's enum and
 // proptest's trait under two glob imports — pin the enum explicitly.
 use multihonest::sim::Strategy;
@@ -19,6 +23,120 @@ use proptest::prelude::*;
 #[test]
 fn streaming_validation_pins_reproduce() {
     golden::assert_streaming_validation_pins();
+}
+
+#[test]
+fn streaming_fork_pin_reproduces() {
+    golden::assert_streaming_fork_pin();
+}
+
+/// Collects the margin channel.
+#[derive(Default)]
+struct MarginLog(Vec<(usize, i64, i64)>);
+
+impl MetricsSink for MarginLog {
+    fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
+        self.0.push((slot, rho, margin));
+    }
+}
+
+/// The hand-off boundary law: at horizons of one slot, one hand-off − 1,
+/// exactly one hand-off, one hand-off + 1 and three hand-offs + 7, at
+/// f = 0.3 and f = 0.7, with the empty plan and with a partition that
+/// outlives Δ = 2 across the first hand-off, the two-thread pipeline
+/// streams the reference engine's fork, the schedule's characteristic
+/// string, a verdict with batch `is_ok` parity, and the batch reduction
+/// + recurrence as its margin channel.
+#[test]
+fn handoff_boundaries_preserve_the_streaming_laws() {
+    const DELTA: usize = 2;
+    let h = HANDOFF_SLOTS;
+    let mut arena = ExecutionArena::new();
+    let mut invalid = 0;
+    for slots in [1, h - 1, h, h + 1, 3 * h + 7] {
+        // Six slots of partition break Δ = 2 synchrony; the window
+        // straddles the first hand-off wherever the horizon reaches it.
+        let start = slots.saturating_sub(3).clamp(1, h - 3);
+        let partition = FaultPlan::new().with(FaultDirective::Partition {
+            groups: vec![vec![0, 1, 2], vec![3, 4, 5]],
+            start,
+            heal_slot: start + 6,
+        });
+        for f in [0.3, 0.7] {
+            for (plan_name, plan) in [
+                ("empty", FaultPlan::default()),
+                ("partition", partition.clone()),
+            ] {
+                let case = format!("{slots} slots, f = {f}, {plan_name} plan");
+                let config = SimConfig {
+                    honest_nodes: 6,
+                    adversarial_stake: 0.3,
+                    active_slot_coeff: f,
+                    delta: DELTA,
+                    slots,
+                    tie_break: TieBreak::AdversarialOrder,
+                    strategy: Strategy::PrivateWithholding,
+                };
+                let seed = 29;
+                let schedule = ColumnarSchedule::sample(6, 0.3, f, slots, seed);
+                let mut strategy = config.strategy.instantiate();
+                let mut log = MarginLog::default();
+                let out = run_streaming_validated_faults_in(
+                    &mut arena,
+                    &config,
+                    &schedule,
+                    strategy.as_mut(),
+                    &plan,
+                    &mut log,
+                );
+                let pipeline = &out.pipeline;
+
+                let rs = multihonest::sim::LeaderSchedule::sample(6, 0.3, f, slots, seed);
+                let mut s2 = config.strategy.instantiate();
+                let (refr, _) =
+                    Simulation::run_with_schedule_faults(&config, rs, s2.as_mut(), &plan);
+                assert_eq!(&pipeline.fork, refr.fork().fork(), "fork, {case}");
+                assert_eq!(
+                    pipeline.characteristic_string,
+                    schedule.characteristic_string(),
+                    "string, {case}"
+                );
+                assert_eq!(
+                    pipeline.validation.is_ok(),
+                    validate_delta(&pipeline.fork, &pipeline.characteristic_string, DELTA).is_ok(),
+                    "verdict parity, {case}: streaming {:?}",
+                    pipeline.validation
+                );
+                invalid += usize::from(pipeline.validation.is_err());
+
+                let reduced = Reduction::new(DELTA).apply(&schedule.characteristic_string());
+                let trace = recurrence::margin_trace(reduced.reduced(), 0);
+                assert_eq!(
+                    log.0.len(),
+                    reduced.len(),
+                    "one event per reduced symbol, {case}"
+                );
+                let mut reach = ReachState::new();
+                for (j, &(slot, rho, margin)) in log.0.iter().enumerate() {
+                    reach.step(reduced.reduced().get(j + 1));
+                    assert_eq!(
+                        (slot, rho, margin),
+                        (reduced.original_slot(j + 1), reach.rho(), trace[j + 1]),
+                        "margin event {j}, {case}"
+                    );
+                }
+                assert_eq!(
+                    (pipeline.rho, pipeline.margin),
+                    (
+                        reach.rho(),
+                        *trace.last().expect("trace starts at the split")
+                    ),
+                    "final (ρ, µ), {case}"
+                );
+            }
+        }
+    }
+    assert!(invalid > 0, "some partition must break Δ-synchrony");
 }
 
 /// The fault plan of one proptest case: `0` is the empty plan, the rest

@@ -44,7 +44,7 @@ fn horizon_and_finite_prefix_pins_match_seed_kernel() {
 
 #[test]
 fn published_k500_row_is_low() {
-    // Documented reproduction finding (see EXPERIMENTS.md): every
+    // Reproduction finding F1 (README.md, "Reproduction findings"): every
     // published cell with k ≤ 400 matches this implementation to 3–4
     // significant digits, but the paper's k = 500 row under-reports the
     // violation probability, increasingly so for smaller probabilities
