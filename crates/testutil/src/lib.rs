@@ -482,6 +482,35 @@ pub mod golden {
         z ^ (z >> 31)
     }
 
+    /// A sink that folds every callback it receives, tagged by kind and
+    /// in arrival order, into one word: a reordered, dropped or
+    /// mis-valued event flips it.
+    struct EventSink(u64);
+
+    impl EventSink {
+        fn event(&mut self, tag: u64, fields: [u64; 4]) {
+            self.0 = fields.iter().fold(mix(self.0, tag), |h, &f| mix(h, f));
+        }
+    }
+
+    impl multihonest::sim::MetricsSink for EventSink {
+        fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
+            self.event(1, [slot as u64, old_height as u64, new_height as u64, 0]);
+        }
+        fn on_slot(&mut self, slot: usize, tips: usize, height: usize, divergence: usize) {
+            self.event(
+                2,
+                [slot as u64, tips as u64, height as u64, divergence as u64],
+            );
+        }
+        fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
+            self.event(3, [slot as u64, rho as u64, margin as u64, 0]);
+        }
+        fn on_fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize) {
+            self.event(4, [slot as u64, recipient as u64, deferred_to as u64, 0]);
+        }
+    }
+
     /// Runs the named scenario preset through [`run_streaming_validated`],
     /// streaming its events into `sink`.
     ///
@@ -558,27 +587,6 @@ pub mod golden {
     ///
     /// [`run_streaming_validated`]: multihonest::scenario::run_streaming_validated
     pub fn streaming_fork_fingerprint(name: &str, seed: u64, slots: usize) -> u64 {
-        use multihonest::sim::MetricsSink;
-        struct EventSink(u64);
-        impl EventSink {
-            fn event(&mut self, tag: u64, fields: [u64; 4]) {
-                self.0 = fields.iter().fold(mix(self.0, tag), |h, &f| mix(h, f));
-            }
-        }
-        impl MetricsSink for EventSink {
-            fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
-                self.event(1, [slot as u64, old_height as u64, new_height as u64, 0]);
-            }
-            fn on_slot(&mut self, slot: usize, tips: usize, height: usize, divergence: usize) {
-                self.event(
-                    2,
-                    [slot as u64, tips as u64, height as u64, divergence as u64],
-                );
-            }
-            fn on_margin(&mut self, slot: usize, rho: i64, margin: i64) {
-                self.event(3, [slot as u64, rho as u64, margin as u64, 0]);
-            }
-        }
         let mut sink = EventSink(0);
         let out = run_validated_preset(name, seed, slots, &mut sink);
         let fork = &out.pipeline.fork;
@@ -603,6 +611,98 @@ pub mod golden {
             pinned,
             "streamed fork or event stream drifted on scenario {name:?} seed {seed} slots {slots}"
         );
+    }
+
+    /// Frozen **kernel sink-stream pins**: `(preset name, seed, slots,
+    /// fingerprint)` computed by [`sink_stream_fingerprint`]. Covers every
+    /// [`FAULT_SCENARIO_PINS`] preset (faulty runs: no passive
+    /// short-circuit, `on_fault_deferral` interleaved with `on_slot` and
+    /// `on_rollback`) plus the non-withholding `balance-attack` and
+    /// `honest` presets of [`SCENARIO_FINGERPRINT_PINS`], with the same
+    /// seeds and slot counts. The traced fingerprints see only the tip
+    /// trace and end-of-run metrics; these see every streamed observation
+    /// in the order the kernel emits it.
+    pub const SINK_STREAM_PINS: &[(&str, u64, usize, u64)] = &[
+        ("partition-halves", 1, 400, 0x14ac_5bd5_e217_8135),
+        ("eclipse-victim", 1, 400, 0xe678_abb6_4463_471d),
+        ("crash-recover", 2, 400, 0x8e01_1534_2b92_bc8e),
+        ("crash-at-genesis", 12, 400, 0x9b3d_ecaa_eb1c_90d0),
+        ("lossy-window", 7, 400, 0x15a5_8d71_7298_86e2),
+        ("compound-chain", 1, 400, 0x448c_477d_5283_1703),
+        ("partition-withholding", 10, 400, 0x011b_54ee_0e74_d0f6),
+        ("balance-attack", 2, 20_000, 0x83ac_1a1e_24e0_1a0d),
+        ("honest", 3, 20_000, 0x3ba6_d3cf_c817_4708),
+    ];
+
+    /// Runs the named preset — a [`fault_library`] entry under its plan,
+    /// else a [`scenario_library`] entry under the empty plan — through
+    /// [`run_streaming_faults_in`] on a fresh arena, and folds the tagged
+    /// sink event stream, the end-of-run metrics and the deferral count
+    /// into one word (see [`SINK_STREAM_PINS`]).
+    ///
+    /// [`fault_library`]: multihonest::scenario::fault_library
+    /// [`scenario_library`]: multihonest::scenario::scenario_library
+    /// [`run_streaming_faults_in`]: multihonest::scenario::ColumnarSimulation::run_streaming_faults_in
+    pub fn sink_stream_fingerprint(name: &str, seed: u64, slots: usize) -> u64 {
+        use multihonest::scenario::{
+            fault_library, scenario_library, ColumnarSimulation, ExecutionArena,
+        };
+        use multihonest::sim::FaultPlan;
+        let (config, mut strategy, schedule, plan) =
+            match fault_library(slots).into_iter().find(|s| s.name == name) {
+                Some(sc) => (
+                    sc.config,
+                    sc.config.strategy.instantiate(),
+                    sc.schedule(seed),
+                    sc.plan,
+                ),
+                None => {
+                    let sc = scenario_library(slots)
+                        .into_iter()
+                        .find(|s| s.name == name)
+                        .unwrap_or_else(|| panic!("unknown sink-stream pin preset {name:?}"));
+                    (
+                        sc.config,
+                        sc.strategy(),
+                        sc.schedule(seed),
+                        FaultPlan::new(),
+                    )
+                }
+            };
+        let mut sink = EventSink(0);
+        let (m, divergence, ledger) = ColumnarSimulation::run_streaming_faults_in(
+            &mut ExecutionArena::new(),
+            &config,
+            &schedule,
+            strategy.as_mut(),
+            &plan,
+            &mut sink,
+        );
+        let mut h = sink.0;
+        for v in [
+            m.final_height,
+            m.chain_blocks,
+            m.honest_chain_blocks,
+            m.max_slot_divergence,
+            m.rollback_count,
+        ] {
+            h = mix(h, v as u64);
+        }
+        h = mix(h, m.max_settlement_lag.map_or(u64::MAX, |l| l as u64));
+        h = mix(h, divergence.count_violations(16, slots) as u64);
+        mix(h, ledger.deferred)
+    }
+
+    /// Asserts every [`SINK_STREAM_PINS`] entry: the streaming kernel
+    /// emits each frozen sink event stream exactly.
+    pub fn assert_sink_stream_pins() {
+        for &(name, seed, slots, pinned) in SINK_STREAM_PINS {
+            assert_eq!(
+                sink_stream_fingerprint(name, seed, slots),
+                pinned,
+                "kernel sink stream drifted on preset {name:?} seed {seed} slots {slots}"
+            );
+        }
     }
 
     /// The frozen campaign-pin spec: a 4-cell sweep small enough for

@@ -99,6 +99,14 @@ fn fault_scenario_pins_reproduce() {
     golden::assert_fault_scenario_pins();
 }
 
+/// The streaming kernel's sink event stream — `on_slot`, `on_rollback`
+/// and `on_fault_deferral` in emission order — is pinned on every faulty
+/// preset and on the non-withholding presets.
+#[test]
+fn sink_stream_pins_reproduce() {
+    golden::assert_sink_stream_pins();
+}
+
 /// A partition that heals within the network's Δ budget adds **zero**
 /// settlement violations: at sparse leader density every deferred
 /// delivery still lands inside the Δ′ ≤ Δ + window envelope the model
