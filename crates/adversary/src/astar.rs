@@ -32,9 +32,9 @@
 //! string backwards — `O(n log n)`-flavoured instead of super-quadratic.
 //! The pre-engine implementation — a fresh definitional
 //! [`ReachAnalysis`] per honest symbol plus explicit pair scans — survives
-//! verbatim in [`reference`] as the equivalence oracle; the two paths are
-//! asserted **bit-identical** over exhaustive short strings and seeded
-//! random long strings.
+//! verbatim in [`reference`](mod@reference) as the equivalence oracle;
+//! the two paths are asserted **bit-identical** over exhaustive short
+//! strings and seeded random long strings.
 
 use multihonest_chars::{CharString, Symbol};
 use multihonest_fork::{Fork, ReachAnalysis, ReachEngine, VertexId};

@@ -18,7 +18,6 @@ use multihonest::sim::{SimConfig, Strategy, TieBreak};
 use multihonest_bench::cli::{
     flag_value, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
 };
-use multihonest_scenario::report::profile_headline;
 use multihonest_scenario::{
     run_horizon, run_horizon_observed, scenario_bench_report, HorizonOptions, LeaderProbs,
     ScenarioBenchReport,
@@ -33,13 +32,12 @@ fn build_report(quick: bool, seed: u64, threads: usize) -> ScenarioBenchReport {
     }
 }
 
-const USAGE: &str = "scenario [bench-report | horizon] [--quick] [--profile] [--seed <u64>] \
+const USAGE: &str = "scenario [bench-report | horizon] [--quick] [--seed <u64>] \
      [--threads <n>] [--out <path>] [--slots <n>] [--segment <n>] [--wal <path>] \
      [--trace <path>] [--events <path>] [--heartbeat <secs>]";
 
-const KNOWN_FLAGS: [&str; 11] = [
+const KNOWN_FLAGS: [&str; 10] = [
     "--quick",
-    "--profile",
     "--seed",
     "--threads",
     "--out",
@@ -157,7 +155,6 @@ fn main() {
         return;
     }
     let report_mode = args.iter().any(|a| a == "bench-report");
-    let profile = args.iter().any(|a| a == "--profile");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
     let threads = or_usage(parsed_flag(&args, "--threads"), USAGE)
         .unwrap_or_else(multihonest_bench::default_threads);
@@ -186,11 +183,6 @@ fn main() {
             report.million_slots_per_second / 1e6,
             out_path
         );
-        if profile {
-            // Re-run the headline with per-phase counters (instrumented:
-            // slower than the plain headline timed above).
-            eprintln!("{}", profile_headline(report.million_slots, seed));
-        }
         return;
     }
 

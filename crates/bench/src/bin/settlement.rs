@@ -13,15 +13,24 @@
 //! ```
 
 use multihonest::prelude::*;
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag};
+use multihonest_bench::cli::{
+    flag_value, known_positionals, or_usage, parsed_flag, reject_unknown_flags,
+};
 use multihonest_bench::{sim_bench_config, sim_bench_report};
 
 const USAGE: &str = "settlement [bench-report] [--quick] [--seed <u64>] [--out <path>]";
 
+const KNOWN_FLAGS: [&str; 3] = ["--quick", "--seed", "--out"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    let modes = or_usage(
+        known_positionals(&args, &["--seed", "--out"], &["bench-report"]),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
-    let report_mode = args.iter().any(|a| a == "bench-report");
+    let report_mode = modes.contains(&"bench-report");
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
     // Quick-grid reports default to a separate file: BENCH_sim.json is the
     // committed full-grid baseline and must not be silently clobbered with

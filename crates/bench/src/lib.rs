@@ -895,9 +895,10 @@ pub fn astar_bench_condition() -> BernoulliCondition {
 /// canonical fork through the incremental engine (best-of-3 timing); for
 /// every `n` also listed in `oracle_ns`, the definitional oracle builds
 /// the same string and the two forks are asserted **bit-identical**
-/// before their timings are compared. A [`CanonicalMonteCarlo`] sweep at
-/// `mc_len` rounds out the report with the Theorem-6 cross-validation at
-/// scale.
+/// before their timings are compared. A
+/// [`CanonicalMonteCarlo`](multihonest::adversary::CanonicalMonteCarlo)
+/// sweep at `mc_len` rounds out the report with the Theorem-6
+/// cross-validation at scale.
 ///
 /// # Panics
 ///

@@ -147,14 +147,18 @@ fn horizon_rejects_zero_counts() {
     }
 }
 
-/// `table1` and `experiments` reject unknown flags, unknown positional
-/// arguments and `--threads 0` before doing any work: exit 2 with an
-/// error naming the offending token, then the usage line, and never a
-/// panic.
+/// `table1`, `experiments`, `astar` and `settlement` reject unknown
+/// flags, unknown positional arguments and `--threads 0`, and `scenario`
+/// rejects `--profile` like any other unknown flag, before doing any
+/// work: exit 2 with an error naming the offending token, then the usage
+/// line, and never a panic.
 #[test]
 fn table1_and_experiments_reject_malformed_command_lines() {
     let table1 = env!("CARGO_BIN_EXE_table1");
     let experiments = env!("CARGO_BIN_EXE_experiments");
+    let astar = env!("CARGO_BIN_EXE_astar");
+    let settlement = env!("CARGO_BIN_EXE_settlement");
+    let scenario = env!("CARGO_BIN_EXE_scenario");
     for (bin, args, error) in [
         (table1, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -177,6 +181,29 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             experiments,
             &["--quick", "tie-break"][..],
             "unknown argument 'tie-break'",
+        ),
+        (astar, &["--bogus"][..], "unknown flag '--bogus'"),
+        (
+            astar,
+            &["--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (
+            astar,
+            &["--quick", "bench-reprot"][..],
+            "unknown argument 'bench-reprot'",
+        ),
+        (settlement, &["--bogus"][..], "unknown flag '--bogus'"),
+        (settlement, &["--quik"][..], "unknown flag '--quik'"),
+        (
+            settlement,
+            &["--quick", "bench-reprot"][..],
+            "unknown argument 'bench-reprot'",
+        ),
+        (
+            scenario,
+            &["bench-report", "--profile"][..],
+            "unknown flag '--profile'",
         ),
     ] {
         let out = std::process::Command::new(bin)

@@ -1,10 +1,10 @@
 //! Streaming Δ-axiom validation: online (F1)–(F4Δ) checking as a fork is
 //! built, one vertex at a time.
 //!
-//! [`validate_delta`](crate::validate::validate_delta) re-derives every
-//! axiom from scratch in `O(V + H²)` (H = honest slots with vertices) —
-//! fine as a definitional oracle, prohibitive inside a million-slot
-//! execution loop. This module maintains the same verdict *incrementally*:
+//! [`validate_delta`] re-derives every axiom from scratch in `O(V + H²)`
+//! (H = honest slots with vertices) — fine as a definitional oracle,
+//! prohibitive inside a million-slot execution loop. This module
+//! maintains the same verdict *incrementally*:
 //!
 //! * [`StreamValidator`] — a detached checker fed per-slot symbols and
 //!   per-vertex `(label, depth)` observations, spending `O(log n)` per

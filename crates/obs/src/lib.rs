@@ -8,15 +8,14 @@
 //! Three layers:
 //!
 //! * [`Recorder`] — the statically-dispatched instrumentation surface
-//!   every engine loop is generic over. The `()` implementation is the
-//!   default everywhere and compiles to nothing, exactly like the old
-//!   `PhaseProfiler` no-op pattern it generalizes.
+//!   the instrumented entry points are generic over. The `()`
+//!   implementation is the default everywhere and compiles to nothing.
 //! * [`Registry`] — counters, gauges and power-of-two log-bucketed
 //!   [`Histogram`]s, all with a `merge` operation so per-worker shards
 //!   combine into one view.
 //! * [`ObsRecorder`] — the full recorder: nested spans against a shared
-//!   epoch, a registry, named lap timers, and exporters — a
-//!   human-readable [`summary`](ObsRecorder::summary), a
+//!   epoch, a registry, and exporters — a human-readable
+//!   [`summary`](ObsRecorder::summary), a
 //!   [`jsonl`](ObsRecorder::jsonl) event stream, and
 //!   [`chrome_trace_json`](ObsRecorder::chrome_trace_json) loadable in
 //!   `chrome://tracing` / Perfetto.
@@ -33,7 +32,7 @@ pub mod registry;
 pub mod trace;
 
 pub use crate::heartbeat::{heartbeat_line, Heartbeat};
-pub use crate::recorder::{LapTimes, Recorder};
+pub use crate::recorder::Recorder;
 pub use crate::registry::{Gauge, Histogram, Registry};
 pub use crate::trace::{ObsRecorder, SpanEvent};
 

@@ -1,14 +1,11 @@
-//! The [`Recorder`] trait — the zero-cost instrumentation surface — and
-//! [`LapTimes`], the named phase stopwatch behind `--profile` output.
+//! The [`Recorder`] trait — the zero-cost instrumentation surface.
 
-use std::time::Instant;
-
-/// The instrumentation surface every engine loop is generic over.
+/// The instrumentation surface the instrumented entry points of every
+/// subsystem are generic over.
 ///
 /// All methods are no-op defaults, and the `()` implementation overrides
 /// nothing — plain entry points thread `&mut ()` through the generic
-/// parameter and the calls inline to zero instructions, exactly the
-/// pattern the old `PhaseProfiler` proved on the columnar slot kernel.
+/// parameter and the calls inline to zero instructions.
 ///
 /// The hard contract: a recorder only *observes*. Implementations must
 /// not feed anything back into the execution; every engine entry point
@@ -24,17 +21,6 @@ pub trait Recorder {
     #[inline]
     fn span_end(&mut self, name: &'static str) {
         let _ = name;
-    }
-
-    /// Marks the start of a lap sequence (e.g. one slot of the kernel).
-    #[inline]
-    fn lap_start(&mut self) {}
-
-    /// Charges the time since the previous mark to `label` and re-marks.
-    /// Labels skipped by fast paths are simply never charged.
-    #[inline]
-    fn lap(&mut self, label: &'static str) {
-        let _ = label;
     }
 
     /// Adds `delta` to the counter `name`.
@@ -71,14 +57,6 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
         (**self).span_end(name);
     }
     #[inline]
-    fn lap_start(&mut self) {
-        (**self).lap_start();
-    }
-    #[inline]
-    fn lap(&mut self, label: &'static str) {
-        (**self).lap(label);
-    }
-    #[inline]
     fn counter(&mut self, name: &'static str, delta: u64) {
         (**self).counter(name, delta);
     }
@@ -92,86 +70,6 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
-/// Accumulated wall-clock time per named lap label, in first-seen order.
-///
-/// Timestamps are taken at lap *boundaries* (one `Instant::now` per
-/// executed lap), so a lap-profiled run is slower than a plain one — the
-/// breakdown is for finding where the time goes, not for quoting
-/// absolute throughput.
-#[derive(Debug, Clone, Default)]
-pub struct LapTimes {
-    names: Vec<&'static str>,
-    nanos: Vec<u64>,
-    starts: u64,
-    last: Option<Instant>,
-}
-
-impl LapTimes {
-    /// A fresh, empty lap profile.
-    pub fn new() -> LapTimes {
-        LapTimes::default()
-    }
-
-    /// Number of [`Recorder::lap_start`] marks observed so far.
-    pub fn starts(&self) -> u64 {
-        self.starts
-    }
-
-    /// Nanoseconds charged to `label` so far (0 for unseen labels).
-    pub fn nanos(&self, label: &str) -> u64 {
-        self.names
-            .iter()
-            .position(|&n| n == label)
-            .map_or(0, |i| self.nanos[i])
-    }
-
-    /// Total nanoseconds across all labels.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// `(label, nanos)` rows in first-seen order.
-    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.names.iter().copied().zip(self.nanos.iter().copied())
-    }
-
-    /// Folds another profile into this one (labels union, times add).
-    pub fn merge(&mut self, other: &LapTimes) {
-        self.starts += other.starts;
-        for (label, ns) in other.rows() {
-            self.charge(label, ns);
-        }
-    }
-
-    #[inline]
-    fn charge(&mut self, label: &'static str, ns: u64) {
-        match self.names.iter().position(|&n| n == label) {
-            Some(i) => self.nanos[i] += ns,
-            None => {
-                self.names.push(label);
-                self.nanos.push(ns);
-            }
-        }
-    }
-}
-
-impl Recorder for LapTimes {
-    #[inline]
-    fn lap_start(&mut self) {
-        self.starts += 1;
-        self.last = Some(Instant::now());
-    }
-
-    #[inline]
-    fn lap(&mut self, label: &'static str) {
-        let now = Instant::now();
-        if let Some(last) = self.last {
-            self.charge(label, now.duration_since(last).as_nanos() as u64);
-        }
-        self.last = Some(now);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,8 +77,6 @@ mod tests {
     #[test]
     fn noop_recorder_compiles_to_unit() {
         let mut r = ();
-        r.lap_start();
-        r.lap("x");
         r.span_begin("s");
         r.span_end("s");
         r.counter("c", 1);
@@ -189,53 +85,23 @@ mod tests {
     }
 
     #[test]
-    fn laps_accumulate_in_first_seen_order() {
-        let mut l = LapTimes::new();
-        l.lap_start();
-        l.lap("mint");
-        l.lap("fold");
-        l.lap_start();
-        l.lap("mint");
-        assert_eq!(l.starts(), 2);
-        let labels: Vec<_> = l.rows().map(|(n, _)| n).collect();
-        assert_eq!(labels, ["mint", "fold"]);
-        assert_eq!(l.total_nanos(), l.nanos("mint") + l.nanos("fold"));
-        assert_eq!(l.nanos("absent"), 0);
-    }
-
-    #[test]
-    fn lap_without_start_charges_nothing() {
-        let mut l = LapTimes::new();
-        l.lap("orphan");
-        assert_eq!(l.total_nanos(), 0);
-        assert_eq!(l.nanos("orphan"), 0);
-    }
-
-    #[test]
-    fn merge_unions_labels_and_adds_times() {
-        let mut a = LapTimes::new();
-        a.charge("x", 10);
-        a.charge("y", 5);
-        a.starts = 3;
-        let mut b = LapTimes::new();
-        b.charge("y", 7);
-        b.charge("z", 1);
-        b.starts = 2;
-        a.merge(&b);
-        assert_eq!(a.starts(), 5);
-        assert_eq!(a.nanos("x"), 10);
-        assert_eq!(a.nanos("y"), 12);
-        assert_eq!(a.nanos("z"), 1);
-    }
-
-    #[test]
     fn mut_ref_forwarding_records_through() {
-        let mut l = LapTimes::new();
-        {
-            let r = &mut l;
-            r.lap_start();
-            r.lap("a");
+        /// Counts every counter increment it receives.
+        #[derive(Default)]
+        struct Tally(u64);
+        impl Recorder for Tally {
+            fn counter(&mut self, _name: &'static str, delta: u64) {
+                self.0 += delta;
+            }
         }
-        assert_eq!(l.starts(), 1);
+        // Generic over `R` by value, so `&mut Tally` goes through the
+        // forwarding impl rather than auto-deref.
+        fn record<R: Recorder>(mut r: R) {
+            r.counter("a", 2);
+            r.counter("b", 3);
+        }
+        let mut t = Tally::default();
+        record(&mut t);
+        assert_eq!(t.0, 5);
     }
 }

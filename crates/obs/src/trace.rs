@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::escape_json;
-use crate::recorder::{LapTimes, Recorder};
+use crate::recorder::Recorder;
 use crate::registry::Registry;
 
 /// Default cap on retained span events per recorder (~32 MiB worst
@@ -26,8 +26,8 @@ pub struct SpanEvent {
 }
 
 /// The full observability recorder: nested spans timed against a shared
-/// epoch, named lap timers, and a metrics [`Registry`], with
-/// Chrome-trace / JSONL / summary exporters.
+/// epoch and a metrics [`Registry`], with Chrome-trace / JSONL / summary
+/// exporters.
 ///
 /// Worker threads record into [`shard`](ObsRecorder::shard)s (same
 /// epoch, distinct `tid`) that [`merge`](ObsRecorder::merge) back into
@@ -39,7 +39,6 @@ pub struct SpanEvent {
 #[derive(Debug, Clone)]
 pub struct ObsRecorder {
     registry: Registry,
-    laps: LapTimes,
     events: Vec<SpanEvent>,
     stack: Vec<(&'static str, u64)>,
     epoch: Instant,
@@ -65,7 +64,6 @@ impl ObsRecorder {
     pub fn with_epoch(epoch: Instant, tid: u32) -> ObsRecorder {
         ObsRecorder {
             registry: Registry::new(),
-            laps: LapTimes::new(),
             events: Vec::new(),
             stack: Vec::new(),
             epoch,
@@ -107,11 +105,6 @@ impl ObsRecorder {
         &mut self.registry
     }
 
-    /// The accumulated lap profile.
-    pub fn laps(&self) -> &LapTimes {
-        &self.laps
-    }
-
     /// All retained span events.
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
@@ -128,7 +121,7 @@ impl ObsRecorder {
     }
 
     /// Folds a shard into this recorder: events concatenate (re-sorted by
-    /// start time for a deterministic timeline), laps and registry merge,
+    /// start time for a deterministic timeline), registries merge,
     /// drop counts add. Unclosed spans on the shard's stack are
     /// discarded.
     pub fn merge(&mut self, other: ObsRecorder) {
@@ -141,7 +134,6 @@ impl ObsRecorder {
         }
         self.events
             .sort_by_key(|e| (e.start_us, e.tid, e.dur_us, e.name));
-        self.laps.merge(&other.laps);
         self.registry.merge(&other.registry);
         self.dropped += other.dropped;
     }
@@ -255,12 +247,6 @@ impl ObsRecorder {
                 ));
             }
         }
-        if self.laps.starts() > 0 {
-            out.push_str(&format!("  laps ({} starts):\n", self.laps.starts()));
-            for (label, ns) in self.laps.rows() {
-                out.push_str(&format!("    {label:<32} {:.4} s\n", ns as f64 / 1e9));
-            }
-        }
         out
     }
 }
@@ -292,16 +278,6 @@ impl Recorder for ObsRecorder {
             }
             _ => self.registry.counter_add("obs.span_mismatch", 1),
         }
-    }
-
-    #[inline]
-    fn lap_start(&mut self) {
-        self.laps.lap_start();
-    }
-
-    #[inline]
-    fn lap(&mut self, label: &'static str) {
-        self.laps.lap(label);
     }
 
     #[inline]

@@ -18,8 +18,9 @@
 //!
 //! **The batch law.** Batching is a pure amortization: for every seed,
 //! the produced [`TrialOutput`] is identical to an independent
-//! [`ColumnarSimulation::run_streaming_faults`] over a freshly sampled
-//! schedule — for any batch size, any trial order within the driving
+//! [`ColumnarSimulation::run_streaming_faults_in`] on a fresh
+//! [`ExecutionArena`] over a freshly sampled schedule — for any batch
+//! size, any trial order within the driving
 //! loop, and any arena history (a short horizon after a long one reuses
 //! the same buffers). `tests/batch_execution.rs` pins this law, and the
 //! campaign sweep builds on it: its reports and checkpoints are

@@ -34,7 +34,6 @@ use multihonest_sim::{BlockId, SimConfig, TieBreak};
 
 use multihonest_obs::Recorder;
 
-use crate::profile::Phase;
 use crate::ring::DeliveryRing;
 use crate::schedule::ColumnarSchedule;
 use crate::store::{ColumnarStore, ADVERSARY};
@@ -209,21 +208,21 @@ impl SlotContext for ColumnarSlotContext<'_> {
 }
 
 /// A per-slot observer threaded through the columnar engine loop — the
-/// attachment point of the streaming fork pipeline ([`crate::pipeline`])
-/// and any other consumer that wants the block arena slot by slot
-/// instead of post-hoc.
+/// attachment point of the streaming fork pipeline ([`crate::pipeline`]),
+/// which wants the block arena slot by slot instead of post-hoc.
 ///
 /// [`on_slot_end`](SlotHook::on_slot_end) fires once per slot, after the
 /// slot's minting, adversarial moves, deliveries and metrics fold: the
 /// store contains every block minted up to and including `slot`, and the
 /// hook may emit derived observations through the sink (which is why the
 /// sink is passed in rather than captured — the engine and the hook share
-/// it without a double borrow).
+/// it without a double borrow). The hook reads the store, which no
+/// [`MetricsSink`] callback carries, so it cannot be a sink decorator.
 ///
 /// The trait is generic over the sink so hook implementations can call
 /// statically-dispatched sink methods; `()` is the no-op hook every
 /// plain entry point uses, costing nothing in the loop.
-pub trait SlotHook<S: MetricsSink> {
+pub(crate) trait SlotHook<S: MetricsSink> {
     /// Observes the end of `slot` (1-based).
     fn on_slot_end(&mut self, slot: usize, store: &ColumnarStore, sink: &mut S);
 }
@@ -355,11 +354,11 @@ impl ColumnarSimulation {
     /// The fully-instrumented trace-retaining entry point: identical to
     /// [`run_with_schedule_faults`](Self::run_with_schedule_faults) with
     /// a [`MetricsSink`] and an obs [`Recorder`] attached. The recorder
-    /// only observes (spans, laps, registry updates), so an instrumented
-    /// run reproduces the plain run's fingerprints bit-for-bit — the
-    /// bit-identity law `tests/observability.rs` pins. Sink and recorder
-    /// are separate generic parameters so callers can pass an obs-backed
-    /// sink and a recorder without a double borrow.
+    /// only observes (a `scenario.execute` span around the run), so an
+    /// instrumented run reproduces the plain run's fingerprints
+    /// bit-for-bit — the bit-identity law `tests/observability.rs` pins.
+    /// Sink and recorder are separate generic parameters so callers can
+    /// pass an obs-backed sink and a recorder without a double borrow.
     pub fn run_with_schedule_faults_recorded<S: MetricsSink, R: Recorder>(
         config: &SimConfig,
         schedule: &ColumnarSchedule,
@@ -369,19 +368,9 @@ impl ColumnarSimulation {
         rec: &mut R,
     ) -> (ColumnarSimulation, DegradationLedger) {
         let mut arena = ExecutionArena::new();
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
+        let core = EngineCore::new(config, plan, true);
         rec.span_begin("scenario.execute");
-        let out = execute(
-            &mut arena,
-            config,
-            schedule,
-            strategy,
-            true,
-            sink,
-            &mut (),
-            &mut faults,
-            rec,
-        );
+        let out = execute(&mut arena, core, config, schedule, strategy, sink, &mut ());
         rec.span_end("scenario.execute");
         (
             ColumnarSimulation {
@@ -393,7 +382,7 @@ impl ColumnarSimulation {
                 divergence: out.divergence,
                 metrics: out.metrics,
             },
-            faults.finish(),
+            out.ledger,
         )
     }
 
@@ -408,51 +397,25 @@ impl ColumnarSimulation {
         strategy: &mut dyn AdversaryStrategy,
         sink: &mut S,
     ) -> (Metrics, DivergenceIndex) {
-        let mut arena = ExecutionArena::new();
-        ColumnarSimulation::run_streaming_in(&mut arena, config, schedule, strategy, sink)
-    }
-
-    /// The **batch** entry point: a streaming execution that reuses the
-    /// caller's [`ExecutionArena`] instead of allocating block/delivery
-    /// arenas afresh — trace-identical to [`run_streaming`], amortizing
-    /// heap traffic to zero across a campaign of seeds. This is the
-    /// kernel campaign sweeps drive once per trial.
-    ///
-    /// [`run_streaming`]: ColumnarSimulation::run_streaming
-    pub fn run_streaming_in<S: MetricsSink>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        sink: &mut S,
-    ) -> (Metrics, DivergenceIndex) {
-        let empty = FaultPlan::default();
         let (metrics, divergence, _) = ColumnarSimulation::run_streaming_faults_in(
-            arena, config, schedule, strategy, &empty, sink,
+            &mut ExecutionArena::new(),
+            config,
+            schedule,
+            strategy,
+            &FaultPlan::default(),
+            sink,
         );
         (metrics, divergence)
     }
 
-    /// A streaming execution under a [`FaultPlan`] — the fault-aware
-    /// sibling of [`ColumnarSimulation::run_streaming`]. Deferral events
-    /// reach the sink through
-    /// [`MetricsSink::on_fault_deferral`].
-    pub fn run_streaming_faults<S: MetricsSink>(
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut arena = ExecutionArena::new();
-        ColumnarSimulation::run_streaming_faults_in(
-            &mut arena, config, schedule, strategy, plan, sink,
-        )
-    }
-
-    /// The batch fault-aware entry point: a streaming faulty execution
-    /// over a reused [`ExecutionArena`] — what the campaign sweep drives
-    /// when its fault axis is non-empty.
+    /// The **batch** entry point: a streaming execution under a
+    /// [`FaultPlan`] that reuses the caller's [`ExecutionArena`] instead
+    /// of allocating block/delivery arenas afresh — trace-identical to a
+    /// run on a fresh arena, amortizing heap traffic to zero across a
+    /// campaign of seeds. This is the kernel campaign sweeps drive once
+    /// per trial. Deferral events reach the sink through
+    /// [`MetricsSink::on_fault_deferral`]; the empty plan is
+    /// bit-identical to [`run_streaming`](Self::run_streaming).
     pub fn run_streaming_faults_in<S: MetricsSink>(
         arena: &mut ExecutionArena,
         config: &SimConfig,
@@ -461,80 +424,9 @@ impl ColumnarSimulation {
         plan: &FaultPlan,
         sink: &mut S,
     ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            &mut (),
-            &mut faults,
-            &mut (),
-        );
-        (out.metrics, out.divergence, faults.finish())
-    }
-
-    /// A streaming execution with an obs [`Recorder`] attached: identical
-    /// traces to [`run_streaming_in`](Self::run_streaming_in), with the
-    /// kernel charging wall-clock laps under [`Phase::label`] names at
-    /// every phase boundary — the engine behind `scenario bench-report
-    /// --profile`. Plain entry points thread the no-op `()` recorder
-    /// through the same generic parameter and pay nothing.
-    pub fn run_streaming_profiled<S: MetricsSink, P: Recorder>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        sink: &mut S,
-        prof: &mut P,
-    ) -> (Metrics, DivergenceIndex) {
-        let empty = FaultPlan::default();
-        let mut faults = FaultRuntime::new(&empty, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            &mut (),
-            &mut faults,
-            prof,
-        );
-        (out.metrics, out.divergence)
-    }
-
-    /// A streaming execution with a [`SlotHook`] attached: identical to
-    /// [`run_streaming_faults_in`](Self::run_streaming_faults_in) except
-    /// that `hook` observes the block arena at the end of every slot —
-    /// the entry point of the streaming fork pipeline (see
-    /// [`crate::pipeline`]). The hook cannot perturb the execution (it
-    /// sees the store read-only), so a hooked run stays trace-identical
-    /// to its unhooked sibling.
-    pub fn run_streaming_hooked<S: MetricsSink, H: SlotHook<S>>(
-        arena: &mut ExecutionArena,
-        config: &SimConfig,
-        schedule: &ColumnarSchedule,
-        strategy: &mut dyn AdversaryStrategy,
-        plan: &FaultPlan,
-        sink: &mut S,
-        hook: &mut H,
-    ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let mut faults = FaultRuntime::new(plan, config.honest_nodes, config.slots);
-        let out = execute(
-            arena,
-            config,
-            schedule,
-            strategy,
-            false,
-            sink,
-            hook,
-            &mut faults,
-            &mut (),
-        );
-        (out.metrics, out.divergence, faults.finish())
+        let core = EngineCore::new(config, plan, false);
+        let out = execute(arena, core, config, schedule, strategy, sink, &mut ());
+        (out.metrics, out.divergence, out.ledger)
     }
 
     /// The configuration used.
@@ -597,7 +489,7 @@ impl ColumnarSimulation {
 /// ring, per-node views and per-slot scratch buffers of one execution,
 /// reset in place between seeds. One arena per worker thread turns a
 /// campaign of millions of executions into zero steady-state allocation —
-/// see [`ColumnarSimulation::run_streaming_in`].
+/// see [`ColumnarSimulation::run_streaming_faults_in`].
 #[derive(Debug)]
 pub struct ExecutionArena {
     pub(crate) store: ColumnarStore,
@@ -631,7 +523,9 @@ impl ExecutionArena {
         }
     }
 
-    /// Resets every component for a fresh execution, keeping allocations.
+    /// Resets every component for a fresh execution, keeping allocations:
+    /// every node on genesis, and `uniq` mirroring that one distinct tip
+    /// for the trace writer.
     pub(crate) fn reset(&mut self, config: &SimConfig, lookahead: usize, expected_blocks: usize) {
         let n = config.honest_nodes;
         self.store.reset();
@@ -646,6 +540,7 @@ impl ExecutionArena {
         self.due.clear();
         self.uniq.clear();
         self.uniq.reserve(n);
+        self.uniq.push(0);
         self.debug_audit(n);
     }
 
@@ -673,6 +568,27 @@ impl ExecutionArena {
         self.uniq.push(0);
     }
 
+    /// The best tip over the node views — later nodes win height ties,
+    /// matching the reference's `max_by_key` — with the number of blocks,
+    /// and of honest blocks, on its chain above the store's root.
+    pub(crate) fn best_chain(&self) -> (u32, usize, usize) {
+        let store = &self.store;
+        let mut best = self.tips[0];
+        for &t in &self.tips {
+            if store.height(t) >= store.height(best) {
+                best = t;
+            }
+        }
+        let (mut blocks, mut honest) = (0, 0);
+        let mut cur = best;
+        while let Some(p) = store.parent(cur) {
+            blocks += 1;
+            honest += usize::from(store.is_honest(cur));
+            cur = p;
+        }
+        (best, blocks, honest)
+    }
+
     /// Debug-asserts that every column and ring buffer is length-reset —
     /// no stale tail state from a previous (possibly longer) execution
     /// can leak into this one. Compiled out of release builds.
@@ -689,29 +605,36 @@ impl ExecutionArena {
         debug_assert!(self.minted.is_empty(), "minted scratch must be empty");
         debug_assert_eq!(self.before.len(), n, "one before-tip per node");
         debug_assert!(self.due.is_empty(), "due scratch must be empty");
-        debug_assert!(self.uniq.is_empty(), "uniq scratch must be empty");
+        debug_assert_eq!(self.uniq, [0], "uniq must mirror the genesis tip");
     }
 }
 
 /// The per-run outputs of [`execute`] (the block store stays in the
 /// arena; trace columns are empty in streaming mode).
-struct ExecOutput {
-    tips_flat: Vec<u32>,
-    tips_end: Vec<u32>,
-    rollbacks: Vec<(u32, u32, u32)>,
-    divergence: DivergenceIndex,
-    metrics: Metrics,
+pub(crate) struct ExecOutput {
+    pub(crate) tips_flat: Vec<u32>,
+    pub(crate) tips_end: Vec<u32>,
+    pub(crate) rollbacks: Vec<(u32, u32, u32)>,
+    pub(crate) divergence: DivergenceIndex,
+    pub(crate) metrics: Metrics,
+    pub(crate) ledger: DegradationLedger,
 }
 
-/// The cross-segment mutable state of one execution that is **not** the
-/// arena: the online divergence fold, the metrics accumulator, the
-/// rollback record, the trace columns of trace-retaining mode, and the
-/// cached end-of-slot observation the quiet path replays. [`execute`]
-/// owns one per run; the horizon driver keeps one alive across segments
-/// and compacts its fold at settled points.
-pub(crate) struct EngineCore {
+/// The per-run mutable state of one execution that is **not** the
+/// arena: the slot cursor, the online divergence fold, the metrics
+/// accumulator, the fault plan's runtime, the rollback record and trace
+/// columns of trace-retaining mode, and the cached end-of-slot
+/// observation the quiet paths replay. Callers of [`execute`] build one
+/// per run; the horizon driver keeps one alive across segments and
+/// compacts its fold at settled points.
+pub(crate) struct EngineCore<'p> {
+    /// Slots executed so far: [`run_slots`] continues at `done + 1`.
+    pub(crate) done: usize,
     pub(crate) fold: DivergenceFold,
     pub(crate) acc: MetricsAccumulator,
+    pub(crate) faults: FaultRuntime<'p>,
+    /// Whether the run retains the tip trace and rollback record.
+    pub(crate) keep_trace: bool,
     pub(crate) rollbacks: Vec<(u32, u32, u32)>,
     pub(crate) tips_flat: Vec<u32>,
     pub(crate) tips_end: Vec<u32>,
@@ -726,21 +649,30 @@ pub(crate) struct EngineCore {
     pub(crate) cached_tip_block: u32,
 }
 
-impl EngineCore {
-    /// State for a fresh full-horizon execution: a fold over `1..=slots`
-    /// and every cache at its slot-0 value (all nodes on genesis).
-    pub(crate) fn new(slots: usize, keep_trace: bool) -> EngineCore {
-        EngineCore::with_fold(DivergenceFold::new(slots), keep_trace, slots)
+impl<'p> EngineCore<'p> {
+    /// State for a fresh full-horizon execution under `plan`: a fold over
+    /// `1..=config.slots` and every cache at its slot-0 value (all nodes
+    /// on genesis).
+    pub(crate) fn new(config: &SimConfig, plan: &'p FaultPlan, keep_trace: bool) -> EngineCore<'p> {
+        EngineCore::with_fold(DivergenceFold::new(config.slots), config, plan, keep_trace)
     }
 
     /// State over a caller-built fold (the horizon driver passes a
     /// windowed one).
-    pub(crate) fn with_fold(fold: DivergenceFold, keep_trace: bool, slots: usize) -> EngineCore {
-        let mut tips_end = Vec::with_capacity(if keep_trace { slots + 1 } else { 1 });
+    pub(crate) fn with_fold(
+        fold: DivergenceFold,
+        config: &SimConfig,
+        plan: &'p FaultPlan,
+        keep_trace: bool,
+    ) -> EngineCore<'p> {
+        let mut tips_end = Vec::with_capacity(if keep_trace { config.slots + 1 } else { 1 });
         tips_end.push(0);
         EngineCore {
+            done: 0,
             fold,
             acc: MetricsAccumulator::new(),
+            faults: FaultRuntime::new(plan, config.honest_nodes, config.slots),
+            keep_trace,
             rollbacks: Vec::new(),
             tips_flat: Vec::new(),
             tips_end,
@@ -752,20 +684,20 @@ impl EngineCore {
     }
 }
 
-// Private fan-in of every public entry point: each parameter is one
-// caller-facing knob, and bundling them into a struct would only move
-// the argument list one call up.
-#[allow(clippy::too_many_arguments)]
-fn execute<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
+/// Resets `arena` and runs one whole execution — `schedule` covers
+/// `config.slots` — with the caller-built per-run state `core`, then
+/// folds the end-of-run state into its output: the best-tip chain walk
+/// down to genesis, the fold's final index and the fault ledger. The
+/// horizon driver has its own finish (evicted-prefix counters plus a
+/// windowed fold drain).
+pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
     arena: &mut ExecutionArena,
+    mut core: EngineCore<'_>,
     config: &SimConfig,
     schedule: &ColumnarSchedule,
     strategy: &mut dyn AdversaryStrategy,
-    keep_trace: bool,
     sink: &mut S,
     hook: &mut H,
-    faults: &mut FaultRuntime<'_>,
-    prof: &mut P,
 ) -> ExecOutput {
     assert_eq!(
         schedule.len(),
@@ -775,71 +707,70 @@ fn execute<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
     // Expected blocks ≈ one per leader flag; reserve with headroom.
     let expected = schedule.active_slots() + schedule.len() / 8 + 16;
     arena.reset(config, strategy.lookahead(config.delta), expected);
-    // The cached end-of-slot observation the quiet path replays: at slot
-    // 0 every node sits on genesis — one distinct tip, height 0, no
-    // divergence — and `uniq` mirrors it for the trace writer.
-    arena.uniq.push(0);
-    let mut core = EngineCore::new(config.slots, keep_trace);
-    run_slots(
-        arena,
-        &mut core,
-        config,
-        schedule,
-        0,
-        1,
-        config.slots,
-        strategy,
-        keep_trace,
-        sink,
-        hook,
-        faults,
-        prof,
+    run_slots(arena, &mut core, config, schedule, strategy, sink, hook);
+    let (best_tip, chain_blocks, honest_chain_blocks) = arena.best_chain();
+    let divergence = core.fold.finish();
+    let metrics = core.acc.finish(
+        schedule.active_slots(),
+        arena.store.height(best_tip),
+        chain_blocks,
+        honest_chain_blocks,
+        divergence.max_settlement_lag(),
     );
-    finish_full(arena, core, schedule)
+    ExecOutput {
+        tips_flat: core.tips_flat,
+        tips_end: core.tips_end,
+        rollbacks: core.rollbacks,
+        divergence,
+        metrics,
+        ledger: core.faults.finish(),
+    }
 }
 
 /// The engine loop shared by the trace-retaining and streaming modes.
 ///
-/// The loop is a **two-path slot kernel**. A slot is *quiet* when its
-/// honest mint list and (post-fault) due-delivery list are both empty:
-/// honest tips can only move through [`receive`], which is called
-/// exactly from those two places, so on a quiet slot every tip — and
-/// therefore the distinct-tip set, best height, slot divergence and
-/// rollback record — is provably unchanged from the previous slot. The
-/// quiet path replays the cached fold observation in O(1) and skips the
-/// before-copy, the rollback scan, the uniq sort and the pairwise LCA
-/// loop entirely. Under sparse leader schedules (`f` well below 1) the
-/// quiet path covers the majority of slots, which is where the columnar
-/// engine's throughput comes from; the busy path additionally
-/// fast-cases the unanimous-tip slot (all nodes agree: no sort, no
-/// pairwise walk). Both paths feed the same sinks in the same order, so
-/// the split is invisible to every observer — bit-identical traces,
-/// metrics, fold state and hook observations.
+/// The loop is a **five-path slot kernel with one epilogue**. Honest
+/// tips move only through [`receive`] — called exactly from the mint and
+/// due-delivery lists — so each path derives the slot's distinct-tip
+/// observation as cheaply as its shape allows:
 ///
-/// `run_slots` executes slots `first_slot..=last_slot` of an execution
-/// whose mutable state lives in `arena` + `core`, making the loop
-/// **re-enterable**: [`execute`] calls it once over the full horizon,
-/// while the segmented horizon driver calls it per schedule segment with
-/// compaction in between. `schedule` covers the absolute slots
-/// `(sched_base, sched_base + schedule.len()]`; slot numbers stay
+/// 1. *passive-quiet*: a passive strategy, no leader, nothing due —
+///    no context, no strategy dispatch, no drain;
+/// 2. *quiet*: nothing minted and nothing due after the drain — every
+///    tip, and so the distinct-tip set, best height, slot divergence and
+///    rollback record, is provably unchanged;
+/// 3. *broadcast-collapse*: one block broadcast onto the tip set
+///    `{parent, block}` — the views become unanimous structurally;
+/// 4. *single-mint*: one fresh block on the unanimous tip, nothing due —
+///    the views split into `{parent, child}` structurally;
+/// 5. *general*: the unanimous check, else sort, dedup and the pairwise
+///    LCA divergence walk.
+///
+/// Every path leaves the observation in `core`'s `cached_tips` /
+/// `cached_height` / `cached_div` (and `uniq`), feeds the fold, and
+/// falls through to the single epilogue: one `on_slot`, one trace push,
+/// one `hook.on_slot_end`. The paths are therefore invisible to every
+/// observer — bit-identical traces, metrics, fold state and hook
+/// observations. Under sparse leader schedules (`f` well below 1) the
+/// quiet paths cover the majority of slots, which is where the columnar
+/// engine's throughput comes from.
+///
+/// `run_slots` executes the `schedule.len()` slots after `core.done`
+/// (`schedule` covers exactly those, 1-based) and advances the cursor,
+/// making the loop **re-enterable**: [`execute`] calls it once over the
+/// full horizon, while the segmented horizon driver calls it per
+/// schedule segment with compaction in between. Slot numbers stay
 /// absolute throughout (strategies, the ring, the fold and every sink
 /// see the global slot clock), so a segmented run is
 /// observation-identical to a monolithic one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
+pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
     arena: &mut ExecutionArena,
-    core: &mut EngineCore,
+    core: &mut EngineCore<'_>,
     config: &SimConfig,
     schedule: &ColumnarSchedule,
-    sched_base: usize,
-    first_slot: usize,
-    last_slot: usize,
     strategy: &mut dyn AdversaryStrategy,
-    keep_trace: bool,
     sink: &mut S,
     hook: &mut H,
-    faults: &mut FaultRuntime<'_>,
-    prof: &mut P,
 ) {
     let n = config.honest_nodes;
     assert!(n > 0, "need at least one honest node");
@@ -854,8 +785,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
         uniq,
     } = arena;
     let EngineCore {
+        done,
         fold,
         acc,
+        faults,
+        keep_trace,
         rollbacks,
         tips_flat,
         tips_end,
@@ -864,6 +798,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
         cached_div,
         cached_tip_block,
     } = core;
+    let keep_trace = *keep_trace;
     let have_faults = !faults.is_empty();
     // A passive strategy on a leaderless slot provably does nothing, so
     // such a slot with an empty delivery bucket needs no context, no
@@ -871,37 +806,25 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
     // Fault plans act every slot (deferred re-injection), so they opt
     // the execution out of the short-circuit wholesale.
     let passive = !have_faults && strategy.passive_without_leaders();
+    let base = *done;
 
-    for slot in first_slot..=last_slot {
-        prof.lap_start();
-        // 1. Honest leaders mint on their current tips and adopt their
-        //    own block at mint time (no rushed same-height injection can
-        //    win the first-seen tie against a minter).
-        let leaders = schedule.leaders(slot - sched_base);
-        if passive
-            && leaders.is_empty()
-            && !schedule.adversarial(slot - sched_base)
-            && ring.bucket_is_empty(slot)
-        {
-            // Fully quiet slot: nothing minted, nothing due, strategy
-            // provably inert — replay the cached observation and move on.
-            fold.observe_tips_unchanged(slot);
-            TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
+    for slot in base + 1..=base + schedule.len() {
+        'path: {
+            // 1. Honest leaders mint on their current tips and adopt their
+            //    own block at mint time (no rushed same-height injection
+            //    can win the first-seen tie against a minter).
+            let leaders = schedule.leaders(slot - base);
+            if passive
+                && leaders.is_empty()
+                && !schedule.adversarial(slot - base)
+                && ring.bucket_is_empty(slot)
+            {
+                // Fully quiet slot: nothing minted, nothing due, strategy
+                // provably inert — replay the cached observation.
+                fold.observe_tips_unchanged(slot);
+                break 'path;
             }
-            .on_slot(slot, *cached_tips, *cached_height, *cached_div);
-            if keep_trace {
-                tips_flat.extend_from_slice(uniq);
-                tips_end.push(tips_flat.len() as u32);
-            }
-            prof.lap(Phase::Fold.label());
-            hook.on_slot_end(slot, store, sink);
-            prof.lap(Phase::Hook.label());
-            continue;
-        }
-        minted.clear();
-        if !leaders.is_empty() {
+            minted.clear();
             for &leader in leaders {
                 let l = leader as usize;
                 if have_faults && !faults.can_mint(slot, l) {
@@ -917,115 +840,136 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
                 tips[l] = b;
                 minted.push(BlockId::from_index(b as usize));
             }
-            prof.lap(Phase::Mint.label());
-        }
-        // 2. The rushing adversary observes the minted blocks and acts —
-        //    through the same trait the reference engine drives.
-        let mut ctx = ColumnarSlotContext {
-            store: &mut *store,
-            ring: &mut *ring,
-            delta: config.delta,
-            honest_nodes: n,
-            faults: &*faults,
-            slot,
-            adversarial_leader: schedule.adversarial(slot - sched_base),
-        };
-        strategy.on_slot(&mut ctx, minted);
-        prof.lap(Phase::Strategy.label());
-        // 3. Drain this slot's deliveries — filtered through the fault
-        //    plan when one is active (which may also re-inject previously
-        //    deferred deliveries, so the plan runs even on empty drains).
-        ring.drain_into(slot, due);
-        if have_faults {
-            let mut tee = TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
-            };
-            faults.apply(
+            // 2. The rushing adversary observes the minted blocks and
+            //    acts — through the same trait the reference engine
+            //    drives.
+            let mut ctx = ColumnarSlotContext {
+                store: &mut *store,
+                ring: &mut *ring,
+                delta: config.delta,
+                honest_nodes: n,
+                faults: &*faults,
                 slot,
-                due,
-                |b| DeliveryMeta {
-                    src: store.issuer(b) as usize,
-                    honest: store.is_honest(b),
-                    broadcast_slot: store.slot(b),
-                },
-                &mut tee,
-            );
-        }
-        prof.lap(Phase::Drain.label());
-        let quiet = due.is_empty() && minted.is_empty();
-        if quiet {
-            // Quiet slot: no receive() ran, so every tip is unchanged.
-            // Replay the cached observation and keep the fold's run open.
-            fold.observe_tips_unchanged(slot);
-            TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
+                adversarial_leader: schedule.adversarial(slot - base),
+            };
+            strategy.on_slot(&mut ctx, minted);
+            // 3. Drain this slot's deliveries — filtered through the
+            //    fault plan when one is active (which may also re-inject
+            //    previously deferred deliveries, so the plan runs even on
+            //    empty drains).
+            ring.drain_into(slot, due);
+            if have_faults {
+                let mut tee = TeeSink {
+                    a: &mut *acc,
+                    b: &mut *sink,
+                };
+                faults.apply(
+                    slot,
+                    due,
+                    |b| DeliveryMeta {
+                        src: store.issuer(b) as usize,
+                        honest: store.is_honest(b),
+                        broadcast_slot: store.slot(b),
+                    },
+                    &mut tee,
+                );
             }
-            .on_slot(slot, *cached_tips, *cached_height, *cached_div);
-            if keep_trace {
-                tips_flat.extend_from_slice(uniq);
-                tips_end.push(tips_flat.len() as u32);
+            if due.is_empty() && minted.is_empty() {
+                // Quiet slot: no receive() ran, so every tip is
+                // unchanged. Replay the cached observation and keep the
+                // fold's run open.
+                fold.observe_tips_unchanged(slot);
+                break 'path;
             }
-            prof.lap(Phase::Fold.label());
-            hook.on_slot_end(slot, store, sink);
-            prof.lap(Phase::Hook.label());
-            continue;
-        }
-        // 4. Apply due deliveries in scheduled order, recording chain
-        //    rollbacks (only deliveries can cause them: minting extends
-        //    the minter's own chain).
-        //
-        // `collapsed` records the broadcast-collapse fast path: a
-        // broadcast of `b` onto the distinct tip set `{parent(b), b}`
-        // provably leaves every node unanimous on `b` with no rollbacks,
-        // so both the per-node merge and the fold are replaced by
-        // structural updates.
-        let mut collapsed = None;
-        if !due.is_empty() {
-            let b = due[0].1;
-            // Broadcast fast path: the dominant due-list shape is one
-            // block reaching every node in ascending recipient order
-            // (what the batched `deliver_*_to_all` scheduling produces).
-            // With a single delivered block, per-node receives are
-            // independent, so apply + rollback-check fuse into one pass:
-            // a node sitting on the block's parent extends its chain —
-            // one known-bit and the tip store, no heights, no ancestry —
-            // and only cross-branch nodes take the general `receive`.
-            let broadcast = due.len() == n
-                && due
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &(r, blk))| r as usize == i && blk == b);
-            if broadcast {
-                let pb = store.parent(b).expect("a delivered block is never genesis");
-                // Collapse fast path: when the previous distinct tips are
-                // exactly `{pb, b}` and no new block was minted this slot,
-                // every node either sits on `pb` (and adopts the strictly
-                // taller child `b` — the direct extension above, no
-                // heights, no rollback) or already sits on `b` (the
-                // minter; a receive would dedup out). The whole merge is
-                // one word-at-a-time known-row fill and a tip fill, and
-                // the resulting views are unanimous on `b`.
-                if minted.is_empty() && (*cached_tips) == 2 && uniq[0] == pb && uniq[1] == b {
-                    known.insert_all(b, n);
-                    tips.fill(b);
-                    collapsed = Some(b);
+            // 4. Apply due deliveries in scheduled order, recording chain
+            //    rollbacks (only deliveries can cause them: minting
+            //    extends the minter's own chain).
+            //
+            // `collapsed` records the broadcast-collapse fast path: a
+            // broadcast of `b` onto the distinct tip set `{parent(b), b}`
+            // provably leaves every node unanimous on `b` with no
+            // rollbacks, so both the per-node merge and the fold are
+            // replaced by structural updates.
+            let mut collapsed = None;
+            if !due.is_empty() {
+                let b = due[0].1;
+                // Broadcast fast path: the dominant due-list shape is one
+                // block reaching every node in ascending recipient order
+                // (what the batched `deliver_*_to_all` scheduling
+                // produces). With a single delivered block, per-node
+                // receives are independent, so apply + rollback-check
+                // fuse into one pass: a node sitting on the block's
+                // parent extends its chain — one known-bit and the tip
+                // store, no heights, no ancestry — and only cross-branch
+                // nodes take the general `receive`.
+                let broadcast = due.len() == n
+                    && due
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &(r, blk))| r as usize == i && blk == b);
+                if broadcast {
+                    let pb = store.parent(b).expect("a delivered block is never genesis");
+                    // Collapse fast path: when the previous distinct tips
+                    // are exactly `{pb, b}` and no new block was minted
+                    // this slot, every node either sits on `pb` (and
+                    // adopts the strictly taller child `b` — the direct
+                    // extension above, no heights, no rollback) or
+                    // already sits on `b` (the minter; a receive would
+                    // dedup out). The whole merge is one word-at-a-time
+                    // known-row fill and a tip fill, and the resulting
+                    // views are unanimous on `b`.
+                    if minted.is_empty() && *cached_tips == 2 && uniq[0] == pb && uniq[1] == b {
+                        known.insert_all(b, n);
+                        tips.fill(b);
+                        collapsed = Some(b);
+                    } else {
+                        for (r, tip) in tips.iter_mut().enumerate() {
+                            let old = *tip;
+                            if old == pb {
+                                // Direct extension: the parent is the
+                                // node's own (known) tip, the child
+                                // strictly taller — adopt.
+                                known.insert(b, r);
+                                *tip = b;
+                                continue;
+                            }
+                            if old == b {
+                                continue; // the minter; a receive would dedup out
+                            }
+                            receive(store, config.tie_break, known, r, tip, b);
+                            let new = *tip;
+                            if new != old
+                                && store.parent(new) != Some(old)
+                                && !store.is_ancestor(old, new)
+                            {
+                                if keep_trace {
+                                    rollbacks.push((slot as u32, old, new));
+                                }
+                                fold.observe_rollback(store, slot, old, new);
+                                TeeSink {
+                                    a: &mut *acc,
+                                    b: &mut *sink,
+                                }
+                                .on_rollback(
+                                    slot,
+                                    store.height(old),
+                                    store.height(new),
+                                );
+                            }
+                        }
+                    }
                 } else {
-                    for (r, tip) in tips.iter_mut().enumerate() {
-                        let old = *tip;
-                        if old == pb {
-                            // Direct extension: the parent is the node's own
-                            // (known) tip, the child strictly taller — adopt.
-                            known.insert(b, r);
-                            *tip = b;
-                            continue;
-                        }
-                        if old == b {
-                            continue; // the minter; a receive would dedup out
-                        }
-                        receive(store, config.tie_break, known, r, tip, b);
-                        let new = *tip;
+                    before.copy_from_slice(tips);
+                    for &(recipient, block) in due.iter() {
+                        let r = recipient as usize;
+                        receive(store, config.tie_break, known, r, &mut tips[r], block);
+                    }
+                    for i in 0..n {
+                        let (old, new) = (before[i], tips[i]);
+                        // Adoption only ever raises height, and the
+                        // dominant case is adopting a direct child of the
+                        // old tip — one parent load rules the rollback
+                        // out before any ancestry descent.
                         if new != old
                             && store.parent(new) != Some(old)
                             && !store.is_ancestor(old, new)
@@ -1046,199 +990,97 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>, P: Recorder>(
                         }
                     }
                 }
-            } else {
-                before.copy_from_slice(tips);
-                for &(recipient, block) in due.iter() {
-                    let r = recipient as usize;
-                    receive(store, config.tie_break, known, r, &mut tips[r], block);
+            }
+            if config.tie_break == TieBreak::AdversarialOrder {
+                for &b in minted.iter() {
+                    let leader = store.issuer(b.index() as u32) as usize;
+                    let tip = tips[leader];
+                    debug_assert!(
+                        tip == b.index() as u32
+                            || store.height(tip) > store.height(b.index() as u32),
+                        "leader {leader} lost its own slot-{slot} block to an equal-height tie"
+                    );
                 }
-                for i in 0..n {
-                    let (old, new) = (before[i], tips[i]);
-                    // Adoption only ever raises height, and the dominant
-                    // case is adopting a direct child of the old tip — one
-                    // parent load rules the rollback out before any
-                    // ancestry descent.
-                    if new != old && store.parent(new) != Some(old) && !store.is_ancestor(old, new)
-                    {
-                        if keep_trace {
-                            rollbacks.push((slot as u32, old, new));
-                        }
-                        fold.observe_rollback(store, slot, old, new);
-                        TeeSink {
-                            a: &mut *acc,
-                            b: &mut *sink,
-                        }
-                        .on_rollback(
-                            slot,
-                            store.height(old),
-                            store.height(new),
-                        );
+            }
+            // 5. Fold the distinct honest views.
+            //
+            // Broadcast-collapse fast case: the merge above proved the
+            // views unanimous on `nb` structurally. The best height is
+            // unchanged (it was already `height(nb)`, the taller of
+            // `{parent, nb}`), the slot divergence of a unanimous set is
+            // zero, and the fold sees the (cheap) single-tip set.
+            if let Some(nb) = collapsed {
+                uniq.clear();
+                uniq.push(nb);
+                *cached_tips = 1;
+                *cached_tip_block = nb;
+                *cached_div = 0;
+                debug_assert_eq!(*cached_height, store.height(nb));
+                fold.observe_tips(store, slot, uniq);
+                break 'path;
+            }
+            // Single-mint fast case: one fresh honest block on the
+            // previous slot's unanimous tip (no deliveries) splits the
+            // views into exactly `{parent, child}` — already id-sorted,
+            // meeting at the parent, zero slot divergence, best height
+            // one up. Every fold quantity is structural; no sort, no
+            // LCA, no chain walk.
+            if due.is_empty() && minted.len() == 1 && *cached_tips == 1 && n > 1 {
+                let child = minted[0].index() as u32;
+                let parent = *cached_tip_block;
+                debug_assert_eq!(store.parent(child), Some(parent));
+                uniq.clear();
+                uniq.push(parent);
+                uniq.push(child);
+                *cached_tips = 2;
+                *cached_height += 1;
+                *cached_div = 0;
+                fold.observe_fresh_child(slot, parent, child, slot);
+                break 'path;
+            }
+            // The unanimous case (every node on one tip — the common case
+            // between forks) needs no sort and no pairwise divergence
+            // walk.
+            let first = tips[0];
+            uniq.clear();
+            let mut div = 0usize;
+            let mut best_height = 0usize;
+            if tips.iter().all(|&t| t == first) {
+                uniq.push(first);
+                *cached_tip_block = first;
+                best_height = store.height(first);
+            } else {
+                uniq.extend_from_slice(tips);
+                uniq.sort_unstable();
+                uniq.dedup();
+                for (i, &a) in uniq.iter().enumerate() {
+                    best_height = best_height.max(store.height(a));
+                    for &b in &uniq[i + 1..] {
+                        let lca = store.last_common_block(a, b);
+                        let first = store.slot(a).min(store.slot(b));
+                        div = div.max(first.saturating_sub(store.slot(lca)));
                     }
                 }
             }
-        }
-        if config.tie_break == TieBreak::AdversarialOrder {
-            for &b in minted.iter() {
-                let leader = store.issuer(b.index() as u32) as usize;
-                let tip = tips[leader];
-                debug_assert!(
-                    tip == b.index() as u32 || store.height(tip) > store.height(b.index() as u32),
-                    "leader {leader} lost its own slot-{slot} block to an equal-height tie"
-                );
-            }
-        }
-        prof.lap(Phase::Merge.label());
-        // 5. Fold the distinct honest views.
-        //
-        // Broadcast-collapse fast case: the merge above proved the views
-        // unanimous on `nb` structurally. The best height is unchanged
-        // (it was already `height(nb)`, the taller of `{parent, nb}`),
-        // the slot divergence of a unanimous set is zero, and the fold
-        // sees the (cheap) single-tip set.
-        if let Some(nb) = collapsed {
-            uniq.clear();
-            uniq.push(nb);
-            (*cached_tips) = 1;
-            (*cached_tip_block) = nb;
-            (*cached_div) = 0;
-            debug_assert_eq!((*cached_height), store.height(nb));
             fold.observe_tips(store, slot, uniq);
-            TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
-            }
-            .on_slot(slot, 1, *cached_height, 0);
-            if keep_trace {
-                tips_flat.extend_from_slice(uniq);
-                tips_end.push(tips_flat.len() as u32);
-            }
-            prof.lap(Phase::Fold.label());
-            hook.on_slot_end(slot, store, sink);
-            prof.lap(Phase::Hook.label());
-            continue;
+            *cached_tips = uniq.len();
+            *cached_height = best_height;
+            *cached_div = div;
         }
-        // Single-mint fast case first: one fresh honest block on the
-        // previous slot's unanimous tip (no deliveries) splits the views
-        // into exactly `{parent, child}` — already id-sorted, meeting at
-        // the parent, zero slot divergence, best height one up. Every
-        // fold quantity is structural; no sort, no LCA, no chain walk.
-        if due.is_empty() && minted.len() == 1 && (*cached_tips) == 1 && n > 1 {
-            let child = minted[0].index() as u32;
-            let parent = *cached_tip_block;
-            debug_assert_eq!(store.parent(child), Some(parent));
-            uniq.clear();
-            uniq.push(parent);
-            uniq.push(child);
-            (*cached_tips) = 2;
-            (*cached_height) += 1;
-            (*cached_div) = 0;
-            fold.observe_fresh_child(slot, parent, child, slot);
-            TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
-            }
-            .on_slot(slot, 2, *cached_height, 0);
-            if keep_trace {
-                tips_flat.extend_from_slice(uniq);
-                tips_end.push(tips_flat.len() as u32);
-            }
-            prof.lap(Phase::Fold.label());
-            hook.on_slot_end(slot, store, sink);
-            prof.lap(Phase::Hook.label());
-            continue;
-        }
-        // The unanimous case (every node on one tip — the common case
-        // between forks) needs no sort and no pairwise divergence walk.
-        let first = tips[0];
-        uniq.clear();
-        let mut div = 0usize;
-        let mut best_height = 0usize;
-        if tips.iter().all(|&t| t == first) {
-            uniq.push(first);
-            (*cached_tip_block) = first;
-            best_height = store.height(first);
-        } else {
-            uniq.extend_from_slice(tips);
-            uniq.sort_unstable();
-            uniq.dedup();
-            for (i, &a) in uniq.iter().enumerate() {
-                best_height = best_height.max(store.height(a));
-                for &b in &uniq[i + 1..] {
-                    let lca = store.last_common_block(a, b);
-                    let first = store.slot(a).min(store.slot(b));
-                    div = div.max(first.saturating_sub(store.slot(lca)));
-                }
-            }
-        }
-        fold.observe_tips(store, slot, uniq);
-        (*cached_tips) = uniq.len();
-        (*cached_height) = best_height;
-        (*cached_div) = div;
+        // The one epilogue: every path above left this slot's
+        // observation in the caches and `uniq`.
         TeeSink {
             a: &mut *acc,
             b: &mut *sink,
         }
-        .on_slot(slot, uniq.len(), best_height, div);
+        .on_slot(slot, *cached_tips, *cached_height, *cached_div);
         if keep_trace {
             tips_flat.extend_from_slice(uniq);
             tips_end.push(tips_flat.len() as u32);
         }
-        prof.lap(Phase::Fold.label());
         hook.on_slot_end(slot, store, sink);
-        prof.lap(Phase::Hook.label());
     }
-}
-
-/// Folds the end-of-run state of a **full** (unsegmented) execution into
-/// its output: best-tip chain walk down to genesis plus the fold's final
-/// index. The horizon driver has its own finish (evicted-prefix counters
-/// plus a windowed fold drain).
-fn finish_full(
-    arena: &mut ExecutionArena,
-    core: EngineCore,
-    schedule: &ColumnarSchedule,
-) -> ExecOutput {
-    let EngineCore {
-        fold,
-        acc,
-        rollbacks,
-        tips_flat,
-        tips_end,
-        ..
-    } = core;
-    let store = &arena.store;
-    let tips = &arena.tips;
-    // Best tip over node views, later nodes winning height
-    // ties (matching the reference's `max_by_key`).
-    let mut best_tip = tips[0];
-    for &t in tips.iter() {
-        if store.height(t) >= store.height(best_tip) {
-            best_tip = t;
-        }
-    }
-    let mut chain_blocks = 0usize;
-    let mut honest_chain_blocks = 0usize;
-    let mut cur = best_tip;
-    while let Some(p) = store.parent(cur) {
-        chain_blocks += 1;
-        honest_chain_blocks += usize::from(store.is_honest(cur));
-        cur = p;
-    }
-    let divergence = fold.finish();
-    let metrics = acc.finish(
-        schedule.active_slots(),
-        store.height(best_tip),
-        chain_blocks,
-        honest_chain_blocks,
-        divergence.max_settlement_lag(),
-    );
-    ExecOutput {
-        tips_flat,
-        tips_end,
-        rollbacks,
-        divergence,
-        metrics,
-    }
+    *done = base + schedule.len();
 }
 
 #[cfg(test)]
@@ -1337,11 +1179,12 @@ mod tests {
             let mut s1 = strategy.instantiate();
             let fresh = ColumnarSimulation::run_streaming(&config, &schedule, s1.as_mut(), &mut ());
             let mut s2 = strategy.instantiate();
-            let reused = ColumnarSimulation::run_streaming_in(
+            let reused = ColumnarSimulation::run_streaming_faults_in(
                 &mut arena,
                 &config,
                 &schedule,
                 s2.as_mut(),
+                &FaultPlan::default(),
                 &mut (),
             );
             assert_eq!(fresh.0, reused.0, "metrics diverged at seed {seed}");
@@ -1455,7 +1298,8 @@ mod tests {
             }
         }
         let mut sink = CountSink(&mut deferrals);
-        let (metrics, index, sl) = ColumnarSimulation::run_streaming_faults(
+        let (metrics, index, sl) = ColumnarSimulation::run_streaming_faults_in(
+            &mut ExecutionArena::new(),
             &config,
             &schedule,
             s2.as_mut(),

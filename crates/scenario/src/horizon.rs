@@ -60,11 +60,12 @@ use rand::SeedableRng;
 
 use multihonest_obs::{heartbeat_line, Heartbeat, Recorder};
 use multihonest_sim::consistency::DivergenceFold;
-use multihonest_sim::fault::{FaultPlan, FaultRuntime};
+use multihonest_sim::fault::FaultPlan;
 use multihonest_sim::metrics::{Metrics, MetricsAccumulator};
 use multihonest_sim::{BlockId, SimConfig};
 
 use crate::engine::{run_slots, EngineCore, ExecutionArena, ENGINE_KERNEL_VERSION};
+use crate::mix;
 use crate::schedule::{ColumnarSchedule, LeaderProbs};
 
 /// Tuning and safety knobs of one [`run_horizon`] call.
@@ -277,12 +278,6 @@ fn bytes_to_words(bytes: &[u8]) -> Option<Vec<u64>> {
 /// a silent divergence. Folds the engine kernel version in so a WAL
 /// written by an observably different kernel is rejected too.
 fn params_hash(config: &SimConfig, seed: u64, opts: &HorizonOptions) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut z = h ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     let mut h = mix(0, u64::from(ENGINE_KERNEL_VERSION));
     for b in format!("{config:?}").bytes() {
         h = mix(h, u64::from(b));
@@ -442,12 +437,8 @@ pub fn run_horizon_observed<R: Recorder>(
     let mut strategy = config.strategy.instantiate();
     let mut agg = Aggregates::new(&opts.ks);
     let empty_plan = FaultPlan::default();
-    let mut faults = FaultRuntime::new(&empty_plan, n, total);
-
     arena.reset(config, strategy.lookahead(config.delta), seg / 2 + 16);
-    arena.uniq.push(0);
 
-    let mut done = 0usize;
     let mut active_slots = 0usize;
     let mut prefix_blocks = 0usize;
     let mut prefix_honest = 0usize;
@@ -487,10 +478,10 @@ pub fn run_horizon_observed<R: Recorder>(
             prefix_honest = rec.prefix_honest as usize;
             compactions = rec.compactions;
             peak_live = rec.peak_live as usize;
-            done = at;
             resumed_at = Some(at);
-            let mut core =
-                EngineCore::with_fold(DivergenceFold::resume_at(total, at), false, total);
+            let fold = DivergenceFold::resume_at(total, at);
+            let mut core = EngineCore::with_fold(fold, config, &empty_plan, false);
+            core.done = at;
             core.acc = MetricsAccumulator::restore(
                 rec.acc_slots as usize,
                 rec.acc_max_div as usize,
@@ -499,7 +490,7 @@ pub fn run_horizon_observed<R: Recorder>(
             core.cached_height = rec.root_height as usize;
             core
         }
-        None => EngineCore::with_fold(DivergenceFold::windowed(total), false, total),
+        None => EngineCore::with_fold(DivergenceFold::windowed(total), config, &empty_plan, false),
     };
 
     let mut wal = match (&opts.wal, &resume) {
@@ -522,7 +513,7 @@ pub fn run_horizon_observed<R: Recorder>(
                 .send(buffer)
                 .expect("the spent channel holds both buffers");
         }
-        let first = done;
+        let first = core.done;
         std::thread::Builder::new()
             .name("horizon-sampler".into())
             .spawn_scoped(scope, move || {
@@ -541,8 +532,7 @@ pub fn run_horizon_observed<R: Recorder>(
                 }
             })?;
 
-        while done < total {
-            let last = (done + seg).min(total);
+        while core.done < total {
             rec.span_begin("horizon.segment");
             rec.span_begin("horizon.sample_wait");
             let (schedule, active) = filled_rx
@@ -555,20 +545,14 @@ pub fn run_horizon_observed<R: Recorder>(
                 &mut core,
                 config,
                 &schedule,
-                done,
-                done + 1,
-                last,
                 strategy.as_mut(),
-                false,
                 &mut (),
-                &mut (),
-                &mut faults,
                 &mut (),
             );
             // Fails only once the sampler has drawn the last segment.
             let _ = spent_tx.send(schedule);
             rec.span_end("horizon.segment");
-            done = last;
+            let done = core.done;
             peak_live = peak_live.max(arena.store.len());
             rec.gauge("horizon.live_blocks", arena.store.len() as i64);
             rec.gauge("horizon.peak_live_blocks", peak_live as i64);
@@ -602,12 +586,9 @@ pub fn run_horizon_observed<R: Recorder>(
                     rec.span_begin("horizon.compaction");
                     core.fold.advance_base(done, |s, e, l| agg.drain(s, e, l));
                     core.fold.rebase_unanimous_root();
-                    let mut cur = tip;
-                    while let Some(p) = arena.store.parent(cur) {
-                        prefix_blocks += 1;
-                        prefix_honest += usize::from(arena.store.is_honest(cur));
-                        cur = p;
-                    }
+                    let (_, blocks, honest) = arena.best_chain();
+                    prefix_blocks += blocks;
+                    prefix_honest += honest;
                     arena.compact_to_root(n, tip);
                     core.cached_tip_block = 0;
                     compactions += 1;
@@ -670,25 +651,12 @@ pub fn run_horizon_observed<R: Recorder>(
     // chain suffix; the evicted prefix lives in the running counters.
     let EngineCore { fold, acc, .. } = core;
     fold.finish_windowed(|s, e, l| agg.drain(s, e, l));
-    let mut best_tip = arena.tips[0];
-    for &t in &arena.tips {
-        if arena.store.height(t) >= arena.store.height(best_tip) {
-            best_tip = t;
-        }
-    }
-    let mut chain_blocks = prefix_blocks;
-    let mut honest_chain_blocks = prefix_honest;
-    let mut cur = best_tip;
-    while let Some(p) = arena.store.parent(cur) {
-        chain_blocks += 1;
-        honest_chain_blocks += usize::from(arena.store.is_honest(cur));
-        cur = p;
-    }
+    let (best_tip, blocks, honest) = arena.best_chain();
     let metrics = acc.finish(
         active_slots,
         arena.store.height(best_tip),
-        chain_blocks,
-        honest_chain_blocks,
+        prefix_blocks + blocks,
+        prefix_honest + honest,
         agg.max_lag,
     );
     Ok(HorizonReport {

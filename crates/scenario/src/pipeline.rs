@@ -5,9 +5,10 @@
 //! and builds the execution's fork on a `fork-fold` helper thread, both
 //! inside one `std::thread::scope`:
 //!
-//! * at the end of every slot, the kernel-side [`SlotHook`] copies the
-//!   slot's freshly minted blocks into the current batch as `(parent,
-//!   slot)` pairs. Every [`HANDOFF_SLOTS`] slots it hands the batch to
+//! * at the end of every slot, the kernel's one epilogue calls the
+//!   crate-private slot hook of this module, which copies the slot's
+//!   freshly minted blocks into the current batch as `(parent, slot)`
+//!   pairs. Every [`HANDOFF_SLOTS`] slots it hands the batch to
 //!   the helper over a bounded channel and takes back the buffer the
 //!   helper last finished with: two buffers circulate, so the helper is
 //!   at most one batch behind and steady state allocates nothing;
@@ -58,7 +59,7 @@ use multihonest_sim::metrics::{Metrics, MetricsSink};
 use multihonest_sim::strategy::AdversaryStrategy;
 use multihonest_sim::SimConfig;
 
-use crate::engine::{ColumnarSimulation, ExecutionArena, SlotHook};
+use crate::engine::{execute, EngineCore, ExecutionArena, SlotHook};
 use crate::schedule::ColumnarSchedule;
 use crate::store::ColumnarStore;
 
@@ -314,17 +315,16 @@ pub fn run_streaming_validated_faults_in<S: MetricsSink>(
             margin: MarginState::at_split(0),
             reduced: Vec::new(),
         };
-        let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_hooked(
-            arena, config, schedule, strategy, plan, sink, &mut stage,
-        );
+        let core = EngineCore::new(config, plan, false);
+        let out = execute(arena, core, config, schedule, strategy, sink, &mut stage);
         let (rho, margin) = stage.finish(sink);
         let streamed = helper
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         ValidatedExecution {
-            metrics,
-            divergence,
-            ledger,
+            metrics: out.metrics,
+            divergence: out.divergence,
+            ledger: out.ledger,
             pipeline: PipelineOutput {
                 fork: streamed.fork,
                 characteristic_string: streamed.semi,
@@ -339,6 +339,7 @@ pub fn run_streaming_validated_faults_in<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ColumnarSimulation;
     use multihonest_chars::SemiSymbol;
     use multihonest_fork::validate::validate_delta;
     use multihonest_margin::recurrence;

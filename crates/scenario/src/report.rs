@@ -256,8 +256,19 @@ pub fn scenario_bench_report(
 
     // 3. The acceptance-criterion throughput headline: a streaming
     //    million-slot PrivateWithholding execution.
-    let headline_cfg = headline_config(million_slots);
-    let schedule = headline_schedule(&headline_cfg, seed);
+    let mut headline_cfg = scenario_library(million_slots)
+        .into_iter()
+        .find(|s| s.name == "private-withholding")
+        .expect("library names the withholding scenario")
+        .config;
+    headline_cfg.strategy = Strategy::PrivateWithholding;
+    let schedule = ColumnarSchedule::sample(
+        headline_cfg.honest_nodes,
+        headline_cfg.adversarial_stake,
+        headline_cfg.active_slot_coeff,
+        headline_cfg.slots,
+        seed,
+    );
     let mut strategy = headline_cfg.strategy.instantiate();
     let start = std::time::Instant::now();
     let (metrics, _index) =
@@ -286,52 +297,6 @@ pub fn scenario_bench_report(
             .map(|d| d.as_secs())
             .unwrap_or(0),
     }
-}
-
-/// The configuration of the throughput headline: the library's
-/// `private-withholding` scenario at `slots` slots.
-fn headline_config(slots: usize) -> multihonest_sim::SimConfig {
-    let mut cfg = scenario_library(slots)
-        .into_iter()
-        .find(|s| s.name == "private-withholding")
-        .expect("library names the withholding scenario")
-        .config;
-    cfg.strategy = Strategy::PrivateWithholding;
-    cfg
-}
-
-/// The headline's leader schedule for `seed`.
-fn headline_schedule(cfg: &multihonest_sim::SimConfig, seed: u64) -> ColumnarSchedule {
-    ColumnarSchedule::sample(
-        cfg.honest_nodes,
-        cfg.adversarial_stake,
-        cfg.active_slot_coeff,
-        cfg.slots,
-        seed,
-    )
-}
-
-/// Re-runs the throughput headline (`slots` of `PrivateWithholding`) with
-/// the kernel's per-phase profiler attached — the engine behind `scenario
-/// bench-report --profile`. Returns the phase breakdown; note the
-/// instrumented run is slower than the plain headline (one timestamp per
-/// executed phase per slot), so its total is not a throughput figure.
-pub fn profile_headline(slots: usize, seed: u64) -> crate::profile::PhaseTimes {
-    let cfg = headline_config(slots);
-    let schedule = headline_schedule(&cfg, seed);
-    let mut strategy = cfg.strategy.instantiate();
-    let mut arena = crate::ExecutionArena::new();
-    let mut prof = crate::profile::PhaseTimes::new();
-    let (metrics, _index) = ColumnarSimulation::run_streaming_profiled(
-        &mut arena,
-        &cfg,
-        &schedule,
-        strategy.as_mut(),
-        &mut (),
-        &mut prof,
-    );
-    assert_eq!(metrics.slots, slots);
-    prof
 }
 
 #[cfg(test)]

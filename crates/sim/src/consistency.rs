@@ -81,10 +81,9 @@ impl DivergenceOps for BlockStore {
 /// fed in chronological slot order ([`DivergenceFold::observe_tips`] once
 /// per slot, [`DivergenceFold::observe_rollback`] as rollbacks happen)
 /// and folded into `O(slots)` state on the fly — no per-slot trace needs
-/// to be retained. The reference simulator's batch
-/// [`DivergenceIndex::build`] and the columnar scenario engine's
-/// streaming mode both drive this same fold, which is what makes their
-/// indices identical by construction.
+/// to be retained. The reference simulator's batch index build and the
+/// columnar scenario engine's streaming mode both drive this same fold,
+/// which is what makes their indices identical by construction.
 ///
 /// Chronological interleaving is equivalent to the batch order
 /// (all tip runs, then all rollbacks): `latest` updates are pure maxima,

@@ -78,8 +78,10 @@ impl CellAggregate {
         }
     }
 
-    /// Folds one trial's fault [`DegradationLedger`] in (call alongside
-    /// [`CellAggregate::record`] for cells with a non-empty fault plan).
+    /// Folds one trial's fault
+    /// [`DegradationLedger`](multihonest_sim::DegradationLedger) in (call
+    /// alongside [`CellAggregate::record`] for cells with a non-empty
+    /// fault plan).
     pub fn record_faults(&mut self, ledger: &multihonest_sim::DegradationLedger) {
         self.deferred_deliveries += ledger.deferred;
         self.dropped_deliveries += ledger.dropped;

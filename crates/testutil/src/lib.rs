@@ -259,9 +259,9 @@ pub mod golden {
 
     /// Frozen canonical-fork pins: `(seed, len, ρ(w), vertex count)` for
     /// strings sampled from [`canonical_mc_condition`] through the
-    /// [`sample_strings`](super::sample_strings) fixture. The `A*` engine
-    /// must reproduce these exactly — and the resulting forks must pass
-    /// the full `is_canonical` check (Theorem 6) — so any drift in the
+    /// [`sample_strings`] fixture. The `A*` engine must reproduce these
+    /// exactly — and the resulting forks must pass the full
+    /// `is_canonical` check (Theorem 6) — so any drift in the
     /// incremental reach engine, the diverging-pair selection or the
     /// conservative-extension order shows up here.
     pub const CANONICAL_PINS: &[(u64, usize, i64, usize)] = &[

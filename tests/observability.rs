@@ -291,8 +291,6 @@ fn observed_horizon_matches_plain() {
 fn unit_recorder_is_inert() {
     let mut rec = ();
     rec.span_begin("a");
-    rec.lap_start();
-    rec.lap("phase");
     rec.counter("c", 1);
     rec.gauge("g", -1);
     rec.observe("h", 9);
