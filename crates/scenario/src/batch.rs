@@ -7,7 +7,7 @@
 //! which depend on the seed. [`BatchExecution`] owns the reusable pieces
 //! and exposes one entry point that runs a whole seed list through them:
 //!
-//! * the [`ExecutionArena`] (block store, delivery ring, known-matrix,
+//! * the [`ExecutionArena`] (block store, delivery ring, node tips,
 //!   scratch buffers) is reset in place between seeds — zero
 //!   steady-state allocation, guarded by the arena's debug audit;
 //! * the [`ColumnarSchedule`] buffer is resampled in place from a shared

@@ -10,7 +10,10 @@
 //!   instead of one heap `Vec` per slot;
 //! * deliveries flow through a [`DeliveryRing`] (bounded window of reused
 //!   buckets) instead of `O(slots)` live queues;
-//! * per-node known-sets are growable bitsets instead of hash sets;
+//! * nodes keep no known-sets: re-receiving a known block never moves a
+//!   longest-chain tip, so `receive` is a pure function of
+//!   `(tip, block)` and a full broadcast resolves once per distinct
+//!   starting tip;
 //! * the consistency index is folded **online** through the shared
 //!   [`DivergenceFold`], and metrics stream through
 //!   [`MetricsSink`]/[`MetricsAccumulator`] — a streaming run retains no
@@ -45,83 +48,6 @@ use crate::store::{ColumnarStore, ADVERSARY};
 /// alter an execution's outputs (traces, metrics, divergence indices) —
 /// pure performance work that stays bit-identical keeps the version.
 pub const ENGINE_KERNEL_VERSION: u32 = 1;
-
-/// The transposed known-set of all honest nodes at once: one mask word
-/// row per **block**, bit `r` set when node `r` knows the block (the
-/// reference engine keeps a `HashSet<BlockId>` per node; an earlier
-/// columnar revision kept one bitset-over-blocks per node).
-///
-/// The transposed layout is what makes the known-set merge of the slot
-/// kernel word-at-a-time and cache-local: every delivery of the same
-/// block — and every chain walk under it — touches the *same* mask row
-/// regardless of recipient, so a broadcast that used to stride across
-/// `n` separate bitsets now hammers one hot cache line, and the
-/// ancestor scan's early exit ("node already knows this suffix") is a
-/// single AND per step.
-///
-/// Rows are `words_per_block` `u64`s (1 for up to 64 honest nodes — every
-/// preset scenario; larger node counts grow the stride, not the code
-/// path). Rows are materialized lazily on first insert, so withheld
-/// private chains cost nothing until they are released.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct KnownMatrix {
-    words_per_block: usize,
-    words: Vec<u64>,
-}
-
-impl KnownMatrix {
-    /// Re-shapes for a fresh execution over `nodes` honest nodes: every
-    /// mask cleared, allocation kept, genesis known to everyone.
-    fn reset(&mut self, nodes: usize) {
-        self.words_per_block = nodes.div_ceil(64).max(1);
-        self.words.clear();
-        // Genesis (block 0) is known to every node from slot 0.
-        self.words.resize(self.words_per_block, 0);
-        for node in 0..nodes {
-            self.words[node / 64] |= 1u64 << (node % 64);
-        }
-    }
-
-    /// Marks `b` known to `node`; returns `true` when it was fresh.
-    #[inline]
-    fn insert(&mut self, b: u32, node: usize) -> bool {
-        let row = b as usize * self.words_per_block;
-        let idx = row + node / 64;
-        if idx >= self.words.len() {
-            self.words.resize(row + self.words_per_block, 0);
-        }
-        let mask = 1u64 << (node % 64);
-        let fresh = self.words[idx] & mask == 0;
-        self.words[idx] |= mask;
-        fresh
-    }
-
-    /// Marks `b` known to every node `0..nodes` at once — word-at-a-time
-    /// form of `nodes` separate [`KnownMatrix::insert`] calls, used by the
-    /// engine's broadcast-collapse fast path.
-    #[inline]
-    fn insert_all(&mut self, b: u32, nodes: usize) {
-        let row = b as usize * self.words_per_block;
-        if row + self.words_per_block > self.words.len() {
-            self.words.resize(row + self.words_per_block, 0);
-        }
-        let (full, rem) = (nodes / 64, nodes % 64);
-        for w in &mut self.words[row..row + full] {
-            *w = u64::MAX;
-        }
-        if rem > 0 {
-            self.words[row + full] |= (1u64 << rem) - 1;
-        }
-    }
-
-    #[cfg(test)]
-    fn contains(&self, b: u32, node: usize) -> bool {
-        let idx = b as usize * self.words_per_block + node / 64;
-        self.words
-            .get(idx)
-            .is_some_and(|w| w & (1u64 << (node % 64)) != 0)
-    }
-}
 
 /// The engine-side [`SlotContext`] of the columnar core: mints into the
 /// [`ColumnarStore`] and schedules through the [`DeliveryRing`] (whose
@@ -233,43 +159,60 @@ impl<S: MetricsSink> SlotHook<S> for () {
     fn on_slot_end(&mut self, _slot: usize, _store: &ColumnarStore, _sink: &mut S) {}
 }
 
-/// The longest-chain rule of one columnar honest node, bit-compatible
-/// with the reference `HonestNode::receive`.
+/// The longest-chain rule of one columnar honest node: the tip a node
+/// on `tip` holds after receiving `block`. Bit-compatible with the
+/// reference `HonestNode::receive`, which first drops blocks the node
+/// already knows; that check never changes the outcome, so the columnar
+/// node keeps no known-set:
+///
+/// * a tip's height never falls;
+/// * at equal height, a tip only changes to a tie winner;
+/// * a node that knows block `b` has received `b` or a descendant of
+///   `b` (or minted `b`), so its tip is at least as high as `b`;
+/// * at equal height, that tip is `b` itself or has already beaten `b`.
+///
+/// So re-receiving a known block keeps the tip, and `receive` is a pure
+/// function of `(tip, block)`: a height comparison plus the tie rule.
 #[inline]
-fn receive(
-    store: &ColumnarStore,
-    tie_break: TieBreak,
-    known: &mut KnownMatrix,
-    node: usize,
-    tip: &mut u32,
-    block: u32,
-) {
-    if !known.insert(block, node) {
-        return;
-    }
-    // Receiving a chain means knowing every block on it.
-    let mut cur = store.parent(block);
-    while let Some(b) = cur {
-        if !known.insert(b, node) {
-            break;
-        }
-        cur = store.parent(b);
-    }
-    let new_height = store.height(block);
-    let cur_height = store.height(*tip);
-    let adopt = match new_height.cmp(&cur_height) {
+fn receive(store: &ColumnarStore, tie_break: TieBreak, tip: u32, block: u32) -> u32 {
+    let adopt = match store.height(block).cmp(&store.height(tip)) {
         std::cmp::Ordering::Greater => true,
         std::cmp::Ordering::Less => false,
         std::cmp::Ordering::Equal => match tie_break {
             TieBreak::AdversarialOrder => false, // first seen stays
             TieBreak::Consistent => {
-                multihonest_sim::block::tie_hash(block) < multihonest_sim::block::tie_hash(*tip)
+                multihonest_sim::block::tie_hash(block) < multihonest_sim::block::tie_hash(tip)
             }
         },
     };
     if adopt {
-        *tip = block;
+        block
+    } else {
+        tip
     }
+}
+
+/// Whether a node that moved from `old` to `new` rolled back: `new` does
+/// not extend `old`. Adoption only ever raises height, and the dominant
+/// case is adopting a direct child of the old tip, so one parent load
+/// rules the rollback out before any ancestry descent.
+#[inline]
+fn rolls_back(store: &ColumnarStore, old: u32, new: u32) -> bool {
+    new != old && store.parent(new) != Some(old) && !store.is_ancestor(old, new)
+}
+
+/// Whether `due` is a **full broadcast**: `m ≥ 1` blocks, each delivered
+/// to recipients `0..n` in ascending order — the shape the batched
+/// `deliver_*_to_all` scheduling produces.
+fn is_full_broadcast(due: &[(u32, u32)], n: usize) -> bool {
+    !due.is_empty()
+        && due.len().is_multiple_of(n)
+        && due.chunks_exact(n).all(|list| {
+            let block = list[0].1;
+            list.iter()
+                .enumerate()
+                .all(|(i, &(r, b))| r as usize == i && b == block)
+        })
 }
 
 /// A finished columnar execution with full traces retained — the
@@ -495,11 +438,13 @@ pub struct ExecutionArena {
     pub(crate) store: ColumnarStore,
     pub(crate) ring: DeliveryRing,
     pub(crate) tips: Vec<u32>,
-    pub(crate) known: KnownMatrix,
     pub(crate) minted: Vec<BlockId>,
     pub(crate) before: Vec<u32>,
     pub(crate) due: Vec<(u32, u32)>,
     pub(crate) uniq: Vec<u32>,
+    /// A full broadcast's tip groups: `(starting tip, final tip, whether
+    /// the move rolls back)`.
+    pub(crate) groups: Vec<(u32, u32, bool)>,
 }
 
 impl Default for ExecutionArena {
@@ -515,11 +460,11 @@ impl ExecutionArena {
             store: ColumnarStore::new(),
             ring: DeliveryRing::new(0, 0, 0),
             tips: Vec::new(),
-            known: KnownMatrix::default(),
             minted: Vec::new(),
             before: Vec::new(),
             due: Vec::new(),
             uniq: Vec::new(),
+            groups: Vec::new(),
         }
     }
 
@@ -533,7 +478,6 @@ impl ExecutionArena {
         self.ring.reset(config.delta, lookahead, config.slots);
         self.tips.clear();
         self.tips.resize(n, 0);
-        self.known.reset(n);
         self.minted.clear();
         self.before.clear();
         self.before.resize(n, 0);
@@ -547,13 +491,12 @@ impl ExecutionArena {
     /// Compacts the arena around the **unanimous tip** `root`: the store
     /// resets to a single root block carrying the tip's absolute slot,
     /// height, issuer and honesty (so minting and height accounting
-    /// continue seamlessly above it), the known-matrix re-seeds with the
-    /// root known to everyone (true of a unanimous tip by definition),
-    /// and every node's view plus the cached `uniq` scratch move to the
-    /// root's new id 0. The horizon driver calls this at fully settled
-    /// points; the required preconditions — all tips equal `root`, the
-    /// delivery ring idle — are debug-asserted.
-    pub(crate) fn compact_to_root(&mut self, n: usize, root: u32) {
+    /// continue seamlessly above it), and every node's view plus the
+    /// cached `uniq` scratch move to the root's new id 0. The horizon
+    /// driver calls this at fully settled points; the required
+    /// preconditions — all tips equal `root`, the delivery ring idle —
+    /// are debug-asserted.
+    pub(crate) fn compact_to_root(&mut self, root: u32) {
         debug_assert!(
             self.tips.iter().all(|&t| t == root),
             "compaction requires a unanimous tip"
@@ -562,7 +505,6 @@ impl ExecutionArena {
         let (slot, height) = (self.store.slot(root), self.store.height(root));
         let (issuer, honest) = (self.store.issuer(root), self.store.is_honest(root));
         self.store.reset_to_root(slot, height, issuer, honest);
-        self.known.reset(n);
         self.tips.fill(0);
         self.uniq.clear();
         self.uniq.push(0);
@@ -597,11 +539,6 @@ impl ExecutionArena {
         debug_assert!(self.ring.is_idle(), "ring buckets must be drained");
         debug_assert_eq!(self.tips.len(), n, "one tip per honest node");
         debug_assert!(self.tips.iter().all(|&t| t == 0), "tips must be genesis");
-        debug_assert_eq!(
-            self.known.words.len(),
-            self.known.words_per_block,
-            "known matrix must cover exactly genesis"
-        );
         debug_assert!(self.minted.is_empty(), "minted scratch must be empty");
         debug_assert_eq!(self.before.len(), n, "one before-tip per node");
         debug_assert!(self.due.is_empty(), "due scratch must be empty");
@@ -729,22 +666,23 @@ pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
 
 /// The engine loop shared by the trace-retaining and streaming modes.
 ///
-/// The loop is a **five-path slot kernel with one epilogue**. Honest
-/// tips move only through [`receive`] — called exactly from the mint and
-/// due-delivery lists — so each path derives the slot's distinct-tip
-/// observation as cheaply as its shape allows:
+/// The loop is a **four-path slot kernel with one epilogue**. Honest
+/// tips move only through minting and [`receive`] over the due-delivery
+/// list, so each path derives the slot's distinct-tip observation as
+/// cheaply as its shape allows:
 ///
 /// 1. *passive-quiet*: a passive strategy, no leader, nothing due —
 ///    no context, no strategy dispatch, no drain;
 /// 2. *quiet*: nothing minted and nothing due after the drain — every
 ///    tip, and so the distinct-tip set, best height, slot divergence and
 ///    rollback record, is provably unchanged;
-/// 3. *broadcast-collapse*: one block broadcast onto the tip set
-///    `{parent, block}` — the views become unanimous structurally;
-/// 4. *single-mint*: one fresh block on the unanimous tip, nothing due —
+/// 3. *single-mint*: one fresh block on the unanimous tip, nothing due —
 ///    the views split into `{parent, child}` structurally;
-/// 5. *general*: the unanimous check, else sort, dedup and the pairwise
-///    LCA divergence walk.
+/// 4. *general*: deliveries resolved once per starting tip when the due
+///    list is a full broadcast (else one `receive` per delivery), then
+///    the unanimous check, else sort, dedup and one fold walk
+///    ([`DivergenceFold::observe_tips_divergence`]) for the divergence
+///    and the diverging anchors.
 ///
 /// Every path leaves the observation in `core`'s `cached_tips` /
 /// `cached_height` / `cached_div` (and `uniq`), feeds the fold, and
@@ -778,11 +716,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
         store,
         ring,
         tips,
-        known,
         minted,
         before,
         due,
         uniq,
+        groups,
     } = arena;
     let EngineCore {
         done,
@@ -830,13 +768,9 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                 if have_faults && !faults.can_mint(slot, l) {
                     continue;
                 }
-                // Mint-time adoption, specialised: the fresh block's
-                // parent is the minter's own (known) tip and its height
-                // strictly exceeds it, so `receive` reduces to one
-                // known-bit insert and the tip store.
+                // The fresh block extends the minter's tip and is strictly
+                // taller, so `receive` would adopt it.
                 let b = store.mint(tips[l], slot, leader, true);
-                let fresh = known.insert(b, l);
-                debug_assert!(fresh, "a minted block is new to its minter");
                 tips[l] = b;
                 minted.push(BlockId::from_index(b as usize));
             }
@@ -858,11 +792,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             //    previously deferred deliveries, so the plan runs even on
             //    empty drains).
             ring.drain_into(slot, due);
+            let mut tee = TeeSink {
+                a: &mut *acc,
+                b: &mut *sink,
+            };
             if have_faults {
-                let mut tee = TeeSink {
-                    a: &mut *acc,
-                    b: &mut *sink,
-                };
                 faults.apply(
                     slot,
                     due,
@@ -883,111 +817,56 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             }
             // 4. Apply due deliveries in scheduled order, recording chain
             //    rollbacks (only deliveries can cause them: minting
-            //    extends the minter's own chain).
-            //
-            // `collapsed` records the broadcast-collapse fast path: a
-            // broadcast of `b` onto the distinct tip set `{parent(b), b}`
-            // provably leaves every node unanimous on `b` with no
-            // rollbacks, so both the per-node merge and the fold are
-            // replaced by structural updates.
-            let mut collapsed = None;
-            if !due.is_empty() {
-                let b = due[0].1;
-                // Broadcast fast path: the dominant due-list shape is one
-                // block reaching every node in ascending recipient order
-                // (what the batched `deliver_*_to_all` scheduling
-                // produces). With a single delivered block, per-node
-                // receives are independent, so apply + rollback-check
-                // fuse into one pass: a node sitting on the block's
-                // parent extends its chain — one known-bit and the tip
-                // store, no heights, no ancestry — and only cross-branch
-                // nodes take the general `receive`.
-                let broadcast = due.len() == n
-                    && due
-                        .iter()
-                        .enumerate()
-                        .all(|(i, &(r, blk))| r as usize == i && blk == b);
-                if broadcast {
-                    let pb = store.parent(b).expect("a delivered block is never genesis");
-                    // Collapse fast path: when the previous distinct tips
-                    // are exactly `{pb, b}` and no new block was minted
-                    // this slot, every node either sits on `pb` (and
-                    // adopts the strictly taller child `b` — the direct
-                    // extension above, no heights, no rollback) or
-                    // already sits on `b` (the minter; a receive would
-                    // dedup out). The whole merge is one word-at-a-time
-                    // known-row fill and a tip fill, and the resulting
-                    // views are unanimous on `b`.
-                    if minted.is_empty() && *cached_tips == 2 && uniq[0] == pb && uniq[1] == b {
-                        known.insert_all(b, n);
-                        tips.fill(b);
-                        collapsed = Some(b);
-                    } else {
-                        for (r, tip) in tips.iter_mut().enumerate() {
-                            let old = *tip;
-                            if old == pb {
-                                // Direct extension: the parent is the
-                                // node's own (known) tip, the child
-                                // strictly taller — adopt.
-                                known.insert(b, r);
-                                *tip = b;
-                                continue;
-                            }
-                            if old == b {
-                                continue; // the minter; a receive would dedup out
-                            }
-                            receive(store, config.tie_break, known, r, tip, b);
-                            let new = *tip;
-                            if new != old
-                                && store.parent(new) != Some(old)
-                                && !store.is_ancestor(old, new)
-                            {
-                                if keep_trace {
-                                    rollbacks.push((slot as u32, old, new));
-                                }
+            //    extends the minter's own chain) per node in ascending
+            //    order.
+            if is_full_broadcast(due, n) {
+                // Every node receives the same blocks in the same
+                // order, and `receive` is a pure function of (tip,
+                // block), so a node's final tip depends only on its
+                // starting tip: fold the blocks, run the rollback test and
+                // feed the fold once per distinct starting tip (the fold
+                // update is idempotent for an equal `(slot, old, new)`).
+                groups.clear();
+                for tip in tips.iter_mut() {
+                    let old = *tip;
+                    let (_, new, rolled) = match groups.iter().find(|g| g.0 == old) {
+                        Some(&group) => group,
+                        None => {
+                            let new = due
+                                .iter()
+                                .step_by(n)
+                                .fold(old, |t, &(_, b)| receive(store, config.tie_break, t, b));
+                            let rolled = rolls_back(store, old, new);
+                            if rolled {
                                 fold.observe_rollback(store, slot, old, new);
-                                TeeSink {
-                                    a: &mut *acc,
-                                    b: &mut *sink,
-                                }
-                                .on_rollback(
-                                    slot,
-                                    store.height(old),
-                                    store.height(new),
-                                );
                             }
+                            groups.push((old, new, rolled));
+                            (old, new, rolled)
                         }
-                    }
-                } else {
-                    before.copy_from_slice(tips);
-                    for &(recipient, block) in due.iter() {
-                        let r = recipient as usize;
-                        receive(store, config.tie_break, known, r, &mut tips[r], block);
-                    }
-                    for i in 0..n {
-                        let (old, new) = (before[i], tips[i]);
-                        // Adoption only ever raises height, and the
-                        // dominant case is adopting a direct child of the
-                        // old tip — one parent load rules the rollback
-                        // out before any ancestry descent.
-                        if new != old
-                            && store.parent(new) != Some(old)
-                            && !store.is_ancestor(old, new)
-                        {
-                            if keep_trace {
-                                rollbacks.push((slot as u32, old, new));
-                            }
-                            fold.observe_rollback(store, slot, old, new);
-                            TeeSink {
-                                a: &mut *acc,
-                                b: &mut *sink,
-                            }
-                            .on_rollback(
-                                slot,
-                                store.height(old),
-                                store.height(new),
-                            );
+                    };
+                    *tip = new;
+                    if rolled {
+                        if keep_trace {
+                            rollbacks.push((slot as u32, old, new));
                         }
+                        tee.on_rollback(slot, store.height(old), store.height(new));
+                    }
+                }
+            } else if !due.is_empty() {
+                // Balance-attack routing and fault-filtered lists: one
+                // `receive` per delivery.
+                before.copy_from_slice(tips);
+                for &(recipient, block) in due.iter() {
+                    let r = recipient as usize;
+                    tips[r] = receive(store, config.tie_break, tips[r], block);
+                }
+                for (&old, &new) in before.iter().zip(tips.iter()) {
+                    if rolls_back(store, old, new) {
+                        if keep_trace {
+                            rollbacks.push((slot as u32, old, new));
+                        }
+                        fold.observe_rollback(store, slot, old, new);
+                        tee.on_rollback(slot, store.height(old), store.height(new));
                     }
                 }
             }
@@ -1004,27 +883,12 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             }
             // 5. Fold the distinct honest views.
             //
-            // Broadcast-collapse fast case: the merge above proved the
-            // views unanimous on `nb` structurally. The best height is
-            // unchanged (it was already `height(nb)`, the taller of
-            // `{parent, nb}`), the slot divergence of a unanimous set is
-            // zero, and the fold sees the (cheap) single-tip set.
-            if let Some(nb) = collapsed {
-                uniq.clear();
-                uniq.push(nb);
-                *cached_tips = 1;
-                *cached_tip_block = nb;
-                *cached_div = 0;
-                debug_assert_eq!(*cached_height, store.height(nb));
-                fold.observe_tips(store, slot, uniq);
-                break 'path;
-            }
             // Single-mint fast case: one fresh honest block on the
             // previous slot's unanimous tip (no deliveries) splits the
             // views into exactly `{parent, child}` — already id-sorted,
             // meeting at the parent, zero slot divergence, best height
             // one up. Every fold quantity is structural; no sort, no
-            // LCA, no chain walk.
+            // chain walk.
             if due.is_empty() && minted.len() == 1 && *cached_tips == 1 && n > 1 {
                 let child = minted[0].index() as u32;
                 let parent = *cached_tip_block;
@@ -1039,33 +903,21 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                 break 'path;
             }
             // The unanimous case (every node on one tip — the common case
-            // between forks) needs no sort and no pairwise divergence
-            // walk.
+            // between forks) needs no sort and no walk.
             let first = tips[0];
             uniq.clear();
-            let mut div = 0usize;
-            let mut best_height = 0usize;
             if tips.iter().all(|&t| t == first) {
                 uniq.push(first);
                 *cached_tip_block = first;
-                best_height = store.height(first);
+                *cached_height = store.height(first);
             } else {
                 uniq.extend_from_slice(tips);
                 uniq.sort_unstable();
                 uniq.dedup();
-                for (i, &a) in uniq.iter().enumerate() {
-                    best_height = best_height.max(store.height(a));
-                    for &b in &uniq[i + 1..] {
-                        let lca = store.last_common_block(a, b);
-                        let first = store.slot(a).min(store.slot(b));
-                        div = div.max(first.saturating_sub(store.slot(lca)));
-                    }
-                }
+                *cached_height = uniq.iter().map(|&t| store.height(t)).max().unwrap_or(0);
             }
-            fold.observe_tips(store, slot, uniq);
+            *cached_div = fold.observe_tips_divergence(store, slot, uniq);
             *cached_tips = uniq.len();
-            *cached_height = best_height;
-            *cached_div = div;
         }
         // The one epilogue: every path above left this slot's
         // observation in the caches and `uniq`.
@@ -1319,24 +1171,5 @@ mod tests {
         config.tie_break = TieBreak::Consistent;
         config.active_slot_coeff = 0.5;
         assert_matches_reference(&config, 7);
-    }
-
-    #[test]
-    fn known_matrix_semantics() {
-        let mut s = KnownMatrix::default();
-        s.reset(70); // two words per block
-        assert!(!s.insert(0, 3), "genesis pre-seeded for every node");
-        assert!(!s.insert(0, 69), "pre-seeding covers the second word");
-        assert!(s.insert(1000, 5));
-        assert!(!s.insert(1000, 5));
-        assert!(s.insert(1000, 68), "per-node bits are independent");
-        assert!(s.contains(1000, 5));
-        assert!(s.contains(1000, 68));
-        assert!(!s.contains(1000, 6));
-        assert!(!s.contains(999, 5));
-        s.reset(4);
-        assert!(!s.contains(1000, 5), "reset clears every mask");
-        assert!(s.contains(0, 3), "genesis re-seeded");
-        assert!(!s.contains(0, 4), "only configured nodes are seeded");
     }
 }

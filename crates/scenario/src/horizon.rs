@@ -423,7 +423,6 @@ pub fn run_horizon_observed<R: Recorder>(
     );
     let total = config.slots;
     let seg = opts.segment_slots;
-    let n = config.honest_nodes;
     let hash = params_hash(config, seed, opts);
 
     let resume = match &opts.wal {
@@ -589,7 +588,7 @@ pub fn run_horizon_observed<R: Recorder>(
                     let (_, blocks, honest) = arena.best_chain();
                     prefix_blocks += blocks;
                     prefix_honest += honest;
-                    arena.compact_to_root(n, tip);
+                    arena.compact_to_root(tip);
                     core.cached_tip_block = 0;
                     compactions += 1;
                     rec.span_end("horizon.compaction");

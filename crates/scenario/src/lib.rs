@@ -21,7 +21,8 @@
 //! | `Vec<Block>` of structs | flat slot/parent/height/issuer columns over the shared `AncestorIndex` ([`ColumnarStore`]) |
 //! | one `Vec<usize>` of leaders per slot | one flat leader column + offsets ([`ColumnarSchedule`]) |
 //! | `O(slots)` live delivery queues | a reused ring of `lookahead + 1` buckets ([`DeliveryRing`]) |
-//! | `HashSet<BlockId>` known-sets | one transposed known-by mask row per block (all nodes in one word) |
+//! | `HashSet<BlockId>` known-sets | none: `receive` is a pure function of (tip, block), so a full broadcast resolves once per distinct starting tip |
+//! | pairwise-LCA slot divergence | one walk down the tips' chains ([`DivergenceFold::observe_tips_divergence`](multihonest_sim::DivergenceFold::observe_tips_divergence)) |
 //! | post-hoc index build over retained traces | online [`DivergenceFold`](multihonest_sim::DivergenceFold) + streaming [`MetricsSink`](multihonest_sim::MetricsSink) |
 //!
 //! A 10⁶-slot withholding execution completes in about 0.11 s (9.0

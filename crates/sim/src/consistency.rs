@@ -82,8 +82,10 @@ impl DivergenceOps for BlockStore {
 /// per slot, [`DivergenceFold::observe_rollback`] as rollbacks happen)
 /// and folded into `O(slots)` state on the fly — no per-slot trace needs
 /// to be retained. The reference simulator's batch index build and the
-/// columnar scenario engine's streaming mode both drive this same fold,
-/// which is what makes their indices identical by construction.
+/// columnar scenario engine's streaming mode both drive this same fold —
+/// the columnar engine through
+/// [`DivergenceFold::observe_tips_divergence`], which leaves the fold in
+/// the state `observe_tips` would — so their indices are identical.
 ///
 /// Chronological interleaving is equivalent to the batch order
 /// (all tip runs, then all rollbacks): `latest` updates are pure maxima,
@@ -111,6 +113,12 @@ pub struct DivergenceFold {
     /// one recomputation).
     prev: Vec<u32>,
     prev_slot: usize,
+    /// The slot divergence of `prev`, as
+    /// [`DivergenceFold::observe_tips_divergence`] last computed it.
+    prev_div: usize,
+    /// The chain walk's pointers: `(block, its slot, the highest tip slot
+    /// merged into the pointer)`.
+    walk: Vec<(u32, usize, usize)>,
 }
 
 impl DivergenceFold {
@@ -126,6 +134,8 @@ impl DivergenceFold {
             epoch: 0,
             prev: Vec::new(),
             prev_slot: 0,
+            prev_div: 0,
+            walk: Vec::new(),
         }
     }
 
@@ -145,6 +155,8 @@ impl DivergenceFold {
             epoch: 0,
             prev: Vec::new(),
             prev_slot: 0,
+            prev_div: 0,
+            walk: Vec::new(),
         }
     }
 
@@ -311,10 +323,7 @@ impl DivergenceFold {
             "previous tips must be unanimous on parent"
         );
         // Close the (unanimous, anchor-free) previous run.
-        for &s in &self.current {
-            self.latest[s - 1 - self.base] = self.latest[s - 1 - self.base].max(t - 1);
-        }
-        self.current.clear();
+        self.close_run(t);
         self.ensure_anchor(t);
         self.current.push(child_slot);
         if self.earliest[child_slot - 1 - self.base] == 0 {
@@ -324,6 +333,90 @@ impl DivergenceFold {
         self.prev.push(parent);
         self.prev.push(child);
         self.prev_slot = t;
+        self.prev_div = 0;
+    }
+
+    /// Observes the distinct honest tips at the end of slot `t` and
+    /// returns their **slot divergence**: the largest
+    /// `min(slot(a), slot(b)) − slot(lca(a, b))` over tip pairs, 0 for a
+    /// single tip. Leaves the fold in the state
+    /// [`DivergenceFold::observe_tips`] would, with no LCA query and no
+    /// visited marks: an unchanged set returns the previous slot's
+    /// divergence, and a changed one is resolved by one walk down the
+    /// tips' chains.
+    ///
+    /// The walk keeps one pointer per tip and always steps a pointer at
+    /// the highest slot, so every pointer that will reach a block arrives
+    /// there before any pointer leaves it. A pointer landing on another's
+    /// block merges with it: that block is the last common block of every
+    /// pair of tips across the two, so the largest such pair term is the
+    /// smaller of their highest tip slots minus the block's slot. The
+    /// walk stops when one pointer remains, on the meet of all tips, and
+    /// the blocks it stepped from are exactly the blocks above the meet:
+    /// the diverging anchors `observe_tips` marks.
+    ///
+    /// `tips` must be distinct and in a canonical order (the engines
+    /// sort them), since an unchanged set is detected by equality. A fold
+    /// is driven either by this method or by `observe_tips`, never both:
+    /// only this method keeps the cached divergence.
+    pub fn observe_tips_divergence<S: DivergenceOps>(
+        &mut self,
+        store: &S,
+        t: usize,
+        tips: &[u32],
+    ) -> usize {
+        debug_assert_eq!(t, self.prev_slot + 1, "tips must arrive in slot order");
+        if t > 1 && tips == self.prev {
+            self.prev_slot = t;
+            return self.prev_div; // same views, same anchors and divergence
+        }
+        self.close_run(t);
+        let mut div = 0;
+        if tips.len() > 1 {
+            self.ensure_anchor(t);
+            let walk = &mut self.walk;
+            walk.clear();
+            walk.extend(
+                tips.iter()
+                    .map(|&b| (b, store.slot_of(b), store.slot_of(b))),
+            );
+            while walk.len() > 1 {
+                let (i, &(block, slot, reach)) = walk
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, p)| p.1)
+                    .expect("two or more pointers");
+                self.current.push(slot);
+                let parent = store.parent_of(block);
+                match walk.iter().position(|p| p.0 == parent) {
+                    Some(j) => {
+                        div = div.max(reach.min(walk[j].2) - walk[j].1);
+                        walk[j].2 = walk[j].2.max(reach);
+                        walk.swap_remove(i);
+                    }
+                    None => walk[i] = (parent, store.slot_of(parent), reach),
+                }
+            }
+            for &s in &self.current {
+                if self.earliest[s - 1 - self.base] == 0 {
+                    self.earliest[s - 1 - self.base] = t;
+                }
+            }
+        }
+        self.prev.clear();
+        self.prev.extend_from_slice(tips);
+        self.prev_slot = t;
+        self.prev_div = div;
+        div
+    }
+
+    /// Closes the open run of identical tip sets: its anchors were last
+    /// seen at `t − 1`.
+    fn close_run(&mut self, t: usize) {
+        for &s in &self.current {
+            self.latest[s - 1 - self.base] = self.latest[s - 1 - self.base].max(t - 1);
+        }
+        self.current.clear();
     }
 
     /// Observes a rollback at slot `t`: an honest node abandoned the
@@ -586,6 +679,96 @@ mod tests {
         assert!(!idx.violates(9, 0));
         assert_eq!(idx.earliest_diverging_observation(0), None);
         assert_eq!(idx.latest_diverging_observation(100), None);
+    }
+
+    /// The largest `min(slot(a), slot(b)) − slot(lca(a, b))` over pairs:
+    /// the reference engine's pairwise slot divergence.
+    fn pairwise_divergence(store: &BlockStore, tips: &[u32]) -> usize {
+        let mut div = 0;
+        for (i, &a) in tips.iter().enumerate() {
+            for &b in &tips[i + 1..] {
+                let first = store.slot_of(a).min(store.slot_of(b));
+                div = div.max(first.saturating_sub(store.slot_of(store.lca(a, b))));
+            }
+        }
+        div
+    }
+
+    /// `observe_tips_divergence` against its two oracles on random
+    /// append-only trees with same-slot siblings (concurrent honest
+    /// leaders, event M): the fold it drives finishes to the index of a
+    /// twin driven by `observe_tips`, and every divergence it returns is
+    /// the pairwise-LCA maximum. Tip sets repeat, shrink to one tip, pair
+    /// a block with its ancestor, contain genesis, follow a fresh child
+    /// of a unanimous tip, and interleave with rollbacks.
+    #[test]
+    fn walked_observations_match_observe_tips_and_pairwise_divergence() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SLOTS: usize = 80;
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = BlockStore::new();
+            let mut blocks = vec![0u32];
+            let mut walked = DivergenceFold::new(SLOTS);
+            let mut oracle = DivergenceFold::new(SLOTS);
+            let mut tips: Vec<u32> = Vec::new();
+            for t in 1..=SLOTS {
+                let earlier = blocks.len();
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let parent = BlockId(blocks[rng.gen_range(0..earlier)]);
+                    blocks.push(store.mint(parent, t, 0, true).0);
+                }
+                if tips.len() == 1 && rng.gen_bool(0.2) {
+                    // A fresh child of the unanimous tip.
+                    let parent = tips[0];
+                    let child = store.mint(BlockId(parent), t, 1, true).0;
+                    blocks.push(child);
+                    tips.push(child);
+                    walked.observe_fresh_child(t, parent, child, t);
+                    oracle.observe_tips(&store, t, &tips);
+                    continue;
+                }
+                let pick = |rng: &mut StdRng| blocks[rng.gen_range(0..blocks.len())];
+                let context = format!("seed {seed} slot {t}");
+                match rng.gen_range(0..5u32) {
+                    0 if !tips.is_empty() => {} // the previous set again
+                    1 => tips = vec![pick(&mut rng)],
+                    2 => {
+                        let b = pick(&mut rng);
+                        let up = store.chain(BlockId(b));
+                        tips = vec![b, up[rng.gen_range(0..up.len())].0];
+                    }
+                    3 => {
+                        tips = (0..rng.gen_range(1..4usize))
+                            .map(|_| pick(&mut rng))
+                            .collect();
+                        tips.push(0);
+                    }
+                    _ => {
+                        tips = (0..rng.gen_range(2..7usize))
+                            .map(|_| pick(&mut rng))
+                            .collect()
+                    }
+                }
+                tips.sort_unstable();
+                tips.dedup();
+                let div = walked.observe_tips_divergence(&store, t, &tips);
+                oracle.observe_tips(&store, t, &tips);
+                assert_eq!(
+                    div,
+                    pairwise_divergence(&store, &tips),
+                    "{context}: {tips:?}"
+                );
+                if rng.gen_bool(0.3) {
+                    let (old, new) = (pick(&mut rng), pick(&mut rng));
+                    walked.observe_rollback(&store, t, old, new);
+                    oracle.observe_rollback(&store, t, old, new);
+                }
+            }
+            assert!(walked.mark.is_empty(), "the walk needs no visited marks");
+            assert_eq!(walked.finish(), oracle.finish(), "seed {seed}");
+        }
     }
 
     #[test]
