@@ -16,7 +16,9 @@
 //! violation frequency escapes its Δ′-model prediction — the committed
 //! baseline always certifies a conservative fault layer.
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+};
 use multihonest_bench::{default_threads, faults_bench_report};
 
 const USAGE: &str = "faults [--quick] [--seed <u64>] [--threads <n>] [--trials <n>] [--out <path>]";
@@ -26,6 +28,10 @@ const KNOWN_FLAGS: [&str; 5] = ["--quick", "--seed", "--threads", "--trials", "-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(
+        known_positionals(&args, &["--seed", "--threads", "--trials", "--out"], &[]),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full run: the same horizon as the scenario fingerprint pins; enough
@@ -36,9 +42,11 @@ fn main() {
     } else {
         (400, 48, &[8, 16, 32])
     };
-    let trials = or_usage(parsed_flag(&args, "--trials"), USAGE).unwrap_or(default_trials);
+    let trials =
+        or_usage(positive_flag(&args, "--trials"), USAGE).map_or(default_trials, |t| t as u64);
     let seed = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(0xC0FFEE);
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads =
+        or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
     // Quick-run reports default to a separate file: BENCH_faults.json is
     // the committed full baseline and must not be silently clobbered
     // with incomparable quick-run numbers.

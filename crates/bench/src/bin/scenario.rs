@@ -16,7 +16,7 @@
 use multihonest::obs::{Heartbeat, ObsRecorder};
 use multihonest::sim::{SimConfig, Strategy, TieBreak};
 use multihonest_bench::cli::{
-    flag_value, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
 };
 use multihonest_scenario::{
     run_horizon, run_horizon_observed, scenario_bench_report, HorizonOptions, LeaderProbs,
@@ -148,15 +148,22 @@ fn run_horizon_cmd(args: &[String], seed: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    let value_flags: Vec<&str> = KNOWN_FLAGS
+        .into_iter()
+        .filter(|&f| f != "--quick")
+        .collect();
+    let modes = or_usage(
+        known_positionals(&args, &value_flags, &["bench-report", "horizon"]),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "horizon") {
-        let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
+    let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
+    if modes.contains(&"horizon") {
         run_horizon_cmd(&args, seed);
         return;
     }
-    let report_mode = args.iter().any(|a| a == "bench-report");
-    let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE)
+    let report_mode = modes.contains(&"bench-report");
+    let threads = or_usage(positive_flag(&args, "--threads"), USAGE)
         .unwrap_or_else(multihonest_bench::default_threads);
     // Quick-grid reports default to a separate file: BENCH_scenario.json
     // is the committed full-grid baseline and must not be silently

@@ -22,7 +22,9 @@
 use std::path::PathBuf;
 
 use multihonest::obs::{Heartbeat, ObsRecorder};
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+};
 use multihonest_bench::{default_threads, sweep_bench_report};
 use multihonest_sweep::{
     campaign_report, report_csv, report_json, run_campaign, run_campaign_observed, CampaignSpec,
@@ -48,8 +50,16 @@ const KNOWN_FLAGS: [&str; 9] = [
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    let value_flags: Vec<&str> = KNOWN_FLAGS
+        .into_iter()
+        .filter(|&f| f != "--quick")
+        .collect();
+    let modes = or_usage(
+        known_positionals(&args, &value_flags, &["bench-report"]),
+        USAGE,
+    );
     let quick = args.iter().any(|a| a == "--quick");
-    let report_mode = args.iter().any(|a| a == "bench-report");
+    let report_mode = modes.contains(&"bench-report");
 
     let mut spec = if quick {
         CampaignSpec::quick_grid()
@@ -59,7 +69,8 @@ fn main() {
     if let Some(seed) = or_usage(parsed_flag(&args, "--seed"), USAGE) {
         spec.seed = seed;
     }
-    let threads = or_usage(parsed_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let threads =
+        or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
     let checkpoint: Option<PathBuf> =
         or_usage(flag_value(&args, "--checkpoint"), USAGE).map(PathBuf::from);
     let stop_after_cells: Option<usize> = or_usage(parsed_flag(&args, "--stop-after-cells"), USAGE);

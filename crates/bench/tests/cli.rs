@@ -147,11 +147,10 @@ fn horizon_rejects_zero_counts() {
     }
 }
 
-/// `table1`, `experiments`, `astar` and `settlement` reject unknown
-/// flags, unknown positional arguments and `--threads 0`, and `scenario`
-/// rejects `--profile` like any other unknown flag, before doing any
-/// work: exit 2 with an error naming the offending token, then the usage
-/// line, and never a panic.
+/// `table1`, `experiments`, `astar`, `settlement`, `scenario`, `sweep`
+/// and `faults` reject unknown flags, unknown positional arguments and
+/// zero counts before doing any work: exit 2 with an error naming the
+/// offending token, then the usage line, and never a panic.
 #[test]
 fn table1_and_experiments_reject_malformed_command_lines() {
     let table1 = env!("CARGO_BIN_EXE_table1");
@@ -159,6 +158,8 @@ fn table1_and_experiments_reject_malformed_command_lines() {
     let astar = env!("CARGO_BIN_EXE_astar");
     let settlement = env!("CARGO_BIN_EXE_settlement");
     let scenario = env!("CARGO_BIN_EXE_scenario");
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    let faults = env!("CARGO_BIN_EXE_faults");
     for (bin, args, error) in [
         (table1, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -204,6 +205,37 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             scenario,
             &["bench-report", "--profile"][..],
             "unknown flag '--profile'",
+        ),
+        (
+            scenario,
+            &["horizn", "--slots", "1000"][..],
+            "unknown argument 'horizn'",
+        ),
+        (
+            scenario,
+            &["bench-report", "--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (sweep, &["--quick", "bogus"][..], "unknown argument 'bogus'"),
+        (
+            sweep,
+            &["--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (
+            faults,
+            &["--quick", "bogus"][..],
+            "unknown argument 'bogus'",
+        ),
+        (
+            faults,
+            &["--quick", "--threads", "0"][..],
+            "--threads must be at least 1, found 0",
+        ),
+        (
+            faults,
+            &["--quick", "--trials", "0"][..],
+            "--trials must be at least 1, found 0",
         ),
     ] {
         let out = std::process::Command::new(bin)
