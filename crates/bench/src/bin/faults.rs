@@ -23,15 +23,13 @@ use multihonest_bench::{default_threads, faults_bench_report};
 
 const USAGE: &str = "faults [--quick] [--seed <u64>] [--threads <n>] [--trials <n>] [--out <path>]";
 
+/// `--quick` first: every later flag takes a value.
 const KNOWN_FLAGS: [&str; 5] = ["--quick", "--seed", "--threads", "--trials", "--out"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
-    or_usage(
-        known_positionals(&args, &["--seed", "--threads", "--trials", "--out"], &[]),
-        USAGE,
-    );
+    or_usage(known_positionals(&args, &KNOWN_FLAGS[1..], &[]), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full run: the same horizon as the scenario fingerprint pins; enough

@@ -36,6 +36,7 @@ const USAGE: &str = "scenario [bench-report | horizon] [--quick] [--seed <u64>] 
      [--threads <n>] [--out <path>] [--slots <n>] [--segment <n>] [--wal <path>] \
      [--trace <path>] [--events <path>] [--heartbeat <secs>]";
 
+/// `--quick` first: every later flag takes a value.
 const KNOWN_FLAGS: [&str; 10] = [
     "--quick",
     "--seed",
@@ -148,12 +149,8 @@ fn run_horizon_cmd(args: &[String], seed: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
-    let value_flags: Vec<&str> = KNOWN_FLAGS
-        .into_iter()
-        .filter(|&f| f != "--quick")
-        .collect();
     let modes = or_usage(
-        known_positionals(&args, &value_flags, &["bench-report", "horizon"]),
+        known_positionals(&args, &KNOWN_FLAGS[1..], &["bench-report", "horizon"]),
         USAGE,
     );
     let quick = args.iter().any(|a| a == "--quick");

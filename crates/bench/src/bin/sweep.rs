@@ -35,6 +35,7 @@ const USAGE: &str = "sweep [bench-report] [--quick] [--seed <u64>] [--threads <n
                      [--out <path>] [--csv <path>] [--checkpoint <path>] \
                      [--stop-after-cells <n>] [--trace <path>] [--heartbeat <secs>]";
 
+/// `--quick` first: every later flag takes a value.
 const KNOWN_FLAGS: [&str; 9] = [
     "--quick",
     "--seed",
@@ -50,12 +51,8 @@ const KNOWN_FLAGS: [&str; 9] = [
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
-    let value_flags: Vec<&str> = KNOWN_FLAGS
-        .into_iter()
-        .filter(|&f| f != "--quick")
-        .collect();
     let modes = or_usage(
-        known_positionals(&args, &value_flags, &["bench-report"]),
+        known_positionals(&args, &KNOWN_FLAGS[1..], &["bench-report"]),
         USAGE,
     );
     let quick = args.iter().any(|a| a == "--quick");

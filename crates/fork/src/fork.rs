@@ -53,8 +53,9 @@ pub struct Fork {
     w: CharString,
     labels: Vec<usize>,
     children: Vec<Vec<VertexId>>,
-    /// Shared ancestry layer: parent links, depths and the binary-lifting
-    /// jump tables behind every `O(log n)` ancestry query below.
+    /// Shared ancestry layer: parent links, depths and the skew-binary
+    /// jump pointers (one per vertex) behind every `O(log n)` ancestry
+    /// query below.
     anc: AncestorIndex,
     /// Maximum depth over all vertices, maintained incrementally.
     height: usize,
