@@ -790,49 +790,65 @@ mod tests {
         }
     }
 
+    /// Runs the banded kernel and the naive full-rectangle scan side by
+    /// side for `k` steps and asserts that every cell agrees bit for bit
+    /// at every step.
+    fn assert_matches_naive_cellwise(alpha: f64, ratio: f64, k: usize) {
+        let e = ExactSettlement::new(cond(alpha, ratio));
+        let p_h = e.cond.p_unique_honest();
+        let p_hh = e.cond.p_multi_honest();
+        let p_a = e.cond.p_adversarial();
+        let mut banded = Lattice::new(k);
+        let mut naive = reference::NaiveLattice::new(k);
+        let (law, tail) = e.reach_law_stationary(banded.cap as usize);
+        banded.seed(&law, tail);
+        naive.seed(&law, tail);
+        for step in 0..=k {
+            // The banded kernel retires cells below the dynamic dead floor
+            // −(k − step) − 1; above it (every cell that can still
+            // influence a checkpoint) agreement is bit-for-bit.
+            let alive_floor = -((k - step) as i64);
+            for r in 0..=banded.cap {
+                for m in alive_floor.max(banded.floor)..=r.min(banded.cap) {
+                    assert_eq!(
+                        banded.cell(r, m).to_bits(),
+                        naive.cell(r, m).to_bits(),
+                        "cell ({r}, {m}) diverged at step {step}, k={k}, α={alpha}, ratio={ratio}"
+                    );
+                }
+            }
+            // The band-restricted Kahan sweep may differ from the
+            // full-rectangle sweep by an ulp (zero cells interact with the
+            // compensation term), hence relative compare.
+            let (bv, nv) = (banded.violation_mass(), naive.violation_mass());
+            assert!(
+                bv == nv || (bv / nv - 1.0).abs() < 1e-14,
+                "violation mass diverged at step {step}, k={k}, α={alpha}: {bv:e} vs {nv:e}"
+            );
+            banded.step(p_h, p_hh, p_a, (k as i64 - step as i64 - 1).max(0));
+            naive.step(p_h, p_hh, p_a);
+        }
+    }
+
     #[test]
     fn banded_kernel_matches_naive_reference_cellwise() {
         // Exhaustive small-k agreement: every cell of the truncated
-        // rectangle, every step, several conditions — the banded kernel
-        // must be bit-for-bit the naive full-rectangle scan.
+        // rectangle, every step, several conditions.
         for (alpha, ratio) in [(0.3, 0.8), (0.05, 1.0), (0.45, 0.25), (0.2, 0.0)] {
-            let e = ExactSettlement::new(cond(alpha, ratio));
-            let p_h = e.cond.p_unique_honest();
-            let p_hh = e.cond.p_multi_honest();
-            let p_a = e.cond.p_adversarial();
             for k in [1usize, 2, 3, 5, 9, 16] {
-                let mut banded = Lattice::new(k);
-                let mut naive = reference::NaiveLattice::new(k);
-                let (law, tail) = e.reach_law_stationary(banded.cap as usize);
-                banded.seed(&law, tail);
-                naive.seed(&law, tail);
-                for step in 0..=k {
-                    // The banded kernel retires cells below the dynamic
-                    // dead floor −(k − step) − 1; above it (every cell
-                    // that can still influence a checkpoint) agreement is
-                    // bit-for-bit.
-                    let alive_floor = -((k - step) as i64);
-                    for r in 0..=banded.cap {
-                        for m in alive_floor.max(banded.floor)..=r.min(banded.cap) {
-                            assert_eq!(
-                                banded.cell(r, m),
-                                naive.cell(r, m),
-                                "cell ({r}, {m}) diverged at step {step}, k={k}, α={alpha}"
-                            );
-                        }
-                    }
-                    // The band-restricted Kahan sweep may differ from the
-                    // full-rectangle sweep by an ulp (zero cells interact
-                    // with the compensation term), hence relative compare.
-                    let (bv, nv) = (banded.violation_mass(), naive.violation_mass());
-                    assert!(
-                        bv == nv || (bv / nv - 1.0).abs() < 1e-14,
-                        "violation mass diverged at step {step}, k={k}, α={alpha}: {bv:e} vs {nv:e}"
-                    );
-                    banded.step(p_h, p_hh, p_a, (k as i64 - step as i64 - 1).max(0));
-                    naive.step(p_h, p_hh, p_a);
-                }
+                assert_matches_naive_cellwise(alpha, ratio, k);
             }
+        }
+    }
+
+    #[test]
+    fn banded_kernel_matches_naive_reference_cellwise_deep() {
+        // Horizons where the band's shape matters: the skew triangle
+        // ρ − µ ≤ t forms, and at α = 0.01 the seeded reach tail goes
+        // subnormal near ρ ≈ 154 and underflows to exact zero near
+        // ρ ≈ 162, so whole rows drop out of the band mid-run.
+        for (alpha, ratio, k) in [(0.01, 1.0, 170), (0.01, 0.01, 170), (0.49, 0.01, 120)] {
+            assert_matches_naive_cellwise(alpha, ratio, k);
         }
     }
 
