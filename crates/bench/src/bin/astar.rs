@@ -13,7 +13,8 @@
 
 use multihonest::adversary::CanonicalMonteCarlo;
 use multihonest_bench::cli::{
-    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_flag_outside,
+    reject_unknown_flags,
 };
 use multihonest_bench::{astar_bench_condition, astar_bench_report, default_threads};
 
@@ -30,6 +31,10 @@ fn main() {
     );
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = modes.contains(&"bench-report");
+    or_usage(
+        reject_flag_outside(&args, "--out", "bench-report", report_mode),
+        USAGE,
+    );
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(4);
     let threads =
         or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);

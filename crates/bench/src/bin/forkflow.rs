@@ -16,7 +16,9 @@
 //! with the batch oracle, or any tracked µ_x disagrees with the rebuild
 //! — the committed baseline always certifies an equivalent pipeline.
 
-use multihonest_bench::cli::{flag_value, or_usage, parsed_flag, reject_unknown_flags};
+use multihonest_bench::cli::{
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+};
 use multihonest_bench::forkflow_bench_report;
 
 const USAGE: &str = "forkflow [--quick] [--seed <u64>] [--slots <n>] [--out <path>]";
@@ -26,6 +28,7 @@ const KNOWN_FLAGS: [&str; 4] = ["--quick", "--seed", "--slots", "--out"];
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
+    or_usage(known_positionals(&args, &KNOWN_FLAGS[1..], &[]), USAGE);
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full run: the million-slot headline plus the 10⁵-slot common-horizon
@@ -41,7 +44,7 @@ fn main() {
     } else {
         (1_000_000, 1_000_000, 600)
     };
-    let slots = or_usage(parsed_flag(&args, "--slots"), USAGE).unwrap_or(default_slots);
+    let slots = or_usage(positive_flag(&args, "--slots"), USAGE).unwrap_or(default_slots);
     let seed = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(0xF0_12D);
     // Quick-run reports default to a separate file: BENCH_forkflow.json
     // is the committed full baseline and must not be silently clobbered

@@ -14,7 +14,7 @@
 
 use multihonest::prelude::*;
 use multihonest_bench::cli::{
-    flag_value, known_positionals, or_usage, parsed_flag, reject_unknown_flags,
+    flag_value, known_positionals, or_usage, parsed_flag, reject_flag_outside, reject_unknown_flags,
 };
 use multihonest_bench::{sim_bench_config, sim_bench_report};
 
@@ -31,6 +31,10 @@ fn main() {
     );
     let quick = args.iter().any(|a| a == "--quick");
     let report_mode = modes.contains(&"bench-report");
+    or_usage(
+        reject_flag_outside(&args, "--out", "bench-report", report_mode),
+        USAGE,
+    );
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
     // Quick-grid reports default to a separate file: BENCH_sim.json is the
     // committed full-grid baseline and must not be silently clobbered with

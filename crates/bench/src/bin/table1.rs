@@ -3,19 +3,22 @@
 //! ```bash
 //! # quick subset (well under a second):
 //! cargo run -p multihonest-bench --release --bin table1 -- --quick
-//! # the full published grid (a few seconds with the banded kernel):
+//! # the full published grid (36 exact-DP passes, about 1 s of CPU time on a
+//! # 2-vCPU Xeon, split over the worker threads):
 //! cargo run -p multihonest-bench --release --bin table1
 //! # machine-readable output:
 //! cargo run -p multihonest-bench --release --bin table1 -- --quick --json
 //! # timing baseline for the perf trajectory (writes BENCH_margin.json):
 //! cargo run -p multihonest-bench --release --bin table1 -- bench-report
+//! # (--out names the report file, so it is an error outside bench-report)
 //! cargo run -p multihonest-bench --release --bin table1 -- bench-report --quick --out /tmp/b.json
 //! # worker threads for the (α, ratio) fan-out (default: all cores):
 //! cargo run -p multihonest-bench --release --bin table1 -- --threads 4
 //! ```
 
 use multihonest_bench::cli::{
-    flag_value, known_positionals, or_usage, positive_flag, reject_unknown_flags,
+    flag_value, known_positionals, or_usage, positive_flag, reject_flag_outside,
+    reject_unknown_flags,
 };
 use multihonest_bench::{
     bench_report, default_threads, generate_table1_threads, render_table1, TABLE1_ALPHAS,
@@ -36,6 +39,10 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let report_mode = modes.contains(&"bench-report");
+    or_usage(
+        reject_flag_outside(&args, "--out", "bench-report", report_mode),
+        USAGE,
+    );
     let threads =
         or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
     // Quick-grid reports default to a separate file: BENCH_margin.json is

@@ -541,6 +541,21 @@ pub mod cli {
         }
     }
 
+    /// Fails if `flag` is given while `mode` is not selected — catches a
+    /// flag only `mode` reads (`--out` without `bench-report`) before it
+    /// is silently dropped.
+    pub fn reject_flag_outside(
+        args: &[String],
+        flag: &str,
+        mode: &str,
+        in_mode: bool,
+    ) -> Result<(), CliError> {
+        if !in_mode && args.iter().any(|a| a == flag) {
+            return Err(CliError(format!("{flag} is only valid with {mode}")));
+        }
+        Ok(())
+    }
+
     /// Unwraps a parse result or prints `error: ...` plus the usage
     /// string to stderr and exits with status 2.
     pub fn or_usage<T>(result: Result<T, CliError>, usage: &str) -> T {
@@ -630,6 +645,21 @@ pub mod cli {
             );
             let err = known_positionals(&a, &["--seed"], &["run"]).unwrap_err();
             assert_eq!(err.to_string(), "unknown argument 'fast'");
+        }
+
+        #[test]
+        fn mode_only_flags_are_caught_outside_their_mode() {
+            let a = args(&["--quick", "--out", "t.json"]);
+            assert_eq!(
+                reject_flag_outside(&a, "--out", "bench-report", true),
+                Ok(())
+            );
+            let err = reject_flag_outside(&a, "--out", "bench-report", false).unwrap_err();
+            assert_eq!(err.to_string(), "--out is only valid with bench-report");
+            assert_eq!(
+                reject_flag_outside(&args(&["--quick"]), "--out", "bench-report", false),
+                Ok(())
+            );
         }
     }
 }

@@ -147,9 +147,11 @@ fn horizon_rejects_zero_counts() {
     }
 }
 
-/// `table1`, `experiments`, `astar`, `settlement`, `scenario`, `sweep`
-/// and `faults` reject unknown flags, unknown positional arguments and
-/// zero counts before doing any work: exit 2 with an error naming the
+/// `table1`, `experiments`, `astar`, `settlement`, `scenario`, `sweep`,
+/// `faults` and `forkflow` reject unknown flags, unknown positional
+/// arguments and zero counts before doing any work, and `table1`,
+/// `astar` and `settlement` reject `--out` outside `bench-report` (the
+/// only mode that writes a file): exit 2 with an error naming the
 /// offending token, then the usage line, and never a panic.
 #[test]
 fn table1_and_experiments_reject_malformed_command_lines() {
@@ -160,6 +162,7 @@ fn table1_and_experiments_reject_malformed_command_lines() {
     let scenario = env!("CARGO_BIN_EXE_scenario");
     let sweep = env!("CARGO_BIN_EXE_sweep");
     let faults = env!("CARGO_BIN_EXE_faults");
+    let forkflow = env!("CARGO_BIN_EXE_forkflow");
     for (bin, args, error) in [
         (table1, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -171,6 +174,11 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             table1,
             &["--quick", "bogus"][..],
             "unknown argument 'bogus'",
+        ),
+        (
+            table1,
+            &["--quick", "--out", "t.json"][..],
+            "--out is only valid with bench-report",
         ),
         (experiments, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -194,12 +202,22 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             &["--quick", "bench-reprot"][..],
             "unknown argument 'bench-reprot'",
         ),
+        (
+            astar,
+            &["--quick", "--out", "a.json"][..],
+            "--out is only valid with bench-report",
+        ),
         (settlement, &["--bogus"][..], "unknown flag '--bogus'"),
         (settlement, &["--quik"][..], "unknown flag '--quik'"),
         (
             settlement,
             &["--quick", "bench-reprot"][..],
             "unknown argument 'bench-reprot'",
+        ),
+        (
+            settlement,
+            &["--quick", "--out", "s.json"][..],
+            "--out is only valid with bench-report",
         ),
         (
             scenario,
@@ -236,6 +254,16 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             faults,
             &["--quick", "--trials", "0"][..],
             "--trials must be at least 1, found 0",
+        ),
+        (
+            forkflow,
+            &["--quick", "bogus"][..],
+            "unknown argument 'bogus'",
+        ),
+        (
+            forkflow,
+            &["--quick", "--slots", "0"][..],
+            "--slots must be at least 1, found 0",
         ),
     ] {
         let out = std::process::Command::new(bin)
