@@ -90,8 +90,8 @@ pub struct ExactSettlement {
 /// `r ∈ r_lo..=r_hi`, inside that row's live margin range `lo[r]..=hi[r]`
 /// (empty if `lo[r] > hi[r]`), which stays within the structural
 /// `floor ≤ m ≤ min(r, cap)`. Cells outside these ranges may hold stale
-/// values from two steps ago and must never be read; all sweeps below are
-/// range-restricted.
+/// values (from two steps ago, or mass already retired or absorbed) and
+/// must never be read; all sweeps below are range-restricted.
 #[derive(Debug, Clone)]
 struct Lattice {
     /// Horizon this lattice was sized for.
@@ -416,10 +416,8 @@ impl Lattice {
         for r in t_r_lo..=t_r_hi {
             let ri = r as usize;
             if self.lo[ri] <= eff_floor {
-                let cells = self.live_cells(r, floor);
-                let retired = cells.start..cells.end.min(self.idx(r, eff_floor) + 1);
-                for i in retired {
-                    self.dead += self.mass[i];
+                for m in self.lo[ri]..=self.hi[ri].min(eff_floor) {
+                    self.dead += self.mass[self.idx(r, m)];
                 }
                 self.lo[ri] = eff_floor + 1;
             }
@@ -451,8 +449,7 @@ impl Lattice {
             }
             // The row above µ = −1 is now empty; cut it so subsequent steps
             // skip it. (Mass at the negative margins is untouched.)
-            let hi = &mut self.hi[r as usize];
-            *hi = (*hi).min(-1);
+            self.hi[r as usize] = self.hi[r as usize].min(-1);
         }
     }
 
