@@ -6,9 +6,10 @@
 
 use multihonest::adversary::{astar, is_canonical, AstarBuilder, OptimalAdversary};
 use multihonest::catalan::exhaustive_strings;
-use multihonest::chars::{CharString, Symbol};
+use multihonest::chars::{BernoulliCondition, CharString, Symbol};
 use multihonest::fork::{Fork, ReachAnalysis, ReachEngine};
-use multihonest_testutil::golden;
+use multihonest::margin::recurrence;
+use multihonest_testutil::{golden, rng};
 use proptest::prelude::*;
 
 fn arb_symbol() -> impl Strategy<Value = Symbol> {
@@ -91,6 +92,24 @@ fn lockstep_equivalence_on_all_strings_up_to_length_6() {
         for w in exhaustive_strings(n) {
             assert_lockstep_equivalence(&w);
         }
+    }
+}
+
+/// Engine ≡ oracle on two 400-symbol strings at ε = 0.2, p_h = 0.4,
+/// well past the proptest's 120-symbol bound, and the engine fork's own
+/// ρ(F) equals the recurrence ρ(w) (Theorem 6).
+#[test]
+fn engine_matches_oracle_and_recurrence_at_n_400() {
+    let cond = BernoulliCondition::new(0.2, 0.4).unwrap();
+    for seed in [4u64, 5] {
+        let w = cond.sample(&mut rng(seed ^ 400), 400);
+        let fork = OptimalAdversary::build(&w);
+        assert_eq!(fork, astar::reference::build(&w), "seed {seed}");
+        assert_eq!(
+            ReachAnalysis::new(&fork).rho(),
+            recurrence::rho(&w),
+            "seed {seed}"
+        );
     }
 }
 

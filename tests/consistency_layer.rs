@@ -74,6 +74,28 @@ fn indexed_sweep_matches_oracle_exhaustively() {
     }
 }
 
+#[test]
+fn indexed_sweep_matches_oracle_on_the_settlement_table_config() {
+    // The `settlement --quick` execution: 600 slots of private
+    // withholding, three times the horizon of the grid above.
+    let cfg = SimConfig {
+        honest_nodes: 10,
+        adversarial_stake: 0.3,
+        active_slot_coeff: 0.25,
+        delta: 2,
+        slots: 600,
+        tie_break: TieBreak::AdversarialOrder,
+        strategy: Strategy::PrivateWithholding,
+    };
+    let sim = Simulation::run(&cfg, 9);
+    for k in [5usize, 10, 20, 40, 80, 160] {
+        let oracle: Vec<bool> = (1..=cfg.slots)
+            .map(|s| sim.settlement_violation_oracle(s, k))
+            .collect();
+        assert_eq!(sim.settlement_violations(k), oracle, "k = {k}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -125,6 +125,12 @@ fn scenario_library_is_bit_identical_to_reference() {
                 .collect();
             assert_eq!(cols.tips_at(t), expect.as_slice(), "{}: slot {t}", sc.name);
         }
+        let expect_rb: Vec<(u32, u32, u32)> = reference
+            .rollbacks()
+            .iter()
+            .map(|&(t, o, n)| (t as u32, o.index() as u32, n.index() as u32))
+            .collect();
+        assert_eq!(cols.rollbacks(), expect_rb.as_slice(), "{}", sc.name);
     }
 }
 
