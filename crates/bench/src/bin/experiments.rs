@@ -1,5 +1,6 @@
 //! The experiment harness: regenerates the quantitative comparisons E6–E10
-//! of DESIGN.md (all paper artifacts beyond Table 1 and the figures).
+//! of the experiment index in README.md, "Experiments" (all paper
+//! artifacts beyond Table 1 and the figures).
 //!
 //! ```bash
 //! cargo run -p multihonest-bench --release --bin experiments            # all, text

@@ -1,30 +1,33 @@
-//! The fault-injection robustness CLI: replays the canonical fault
-//! library (partitions, eclipses, crash–recovery, windowed loss, and a
-//! compound chain) through both engines, then runs the Δ-conservatism
-//! harness per scenario and writes the verdict table.
+//! The fault-injection robustness CLI: runs the Δ-conservatism harness
+//! on every scenario of the canonical fault library (partitions,
+//! eclipses, crash–recovery, windowed loss, and a compound chain) and
+//! prints the verdict table.
 //!
 //! ```bash
-//! # the full baseline (writes BENCH_faults.json):
+//! # the full table:
 //! cargo run -p multihonest-bench --release --bin faults
-//! # reduced CI smoke run:
+//! # reduced run:
 //! cargo run -p multihonest-bench --release --bin faults -- --quick
-//! cargo run -p multihonest-bench --release --bin faults -- --quick --out /tmp/f.json
 //! ```
 //!
-//! The run aborts (rather than writing a report) if the two engines
-//! disagree on any degradation ledger or if any scenario's empirical
-//! violation frequency escapes its Δ′-model prediction — the committed
-//! baseline always certifies a conservative fault layer.
+//! The run exits 1 after the table if any scenario's verdict is not
+//! conservative: its empirical violation frequency escaped a Δ′-model
+//! prediction, or its plan had no Δ′ to predict with.
 
 use multihonest_bench::cli::{
-    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+    known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
 };
-use multihonest_bench::{default_threads, faults_bench_report};
+use multihonest_bench::{default_threads, fault_conservatism};
 
-const USAGE: &str = "faults [--quick] [--seed <u64>] [--threads <n>] [--trials <n>] [--out <path>]";
+const USAGE: &str = "faults [--quick] [--seed <u64>] [--threads <n>] [--trials <n>]";
 
 /// `--quick` first: every later flag takes a value.
-const KNOWN_FLAGS: [&str; 5] = ["--quick", "--seed", "--threads", "--trials", "--out"];
+const KNOWN_FLAGS: [&str; 4] = ["--quick", "--seed", "--threads", "--trials"];
+
+/// A probability cell: the value, or `-` when the model has none.
+fn prob(p: Option<f64>) -> String {
+    p.map_or("-".to_string(), |p| format!("{p:.3e}"))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,29 +48,39 @@ fn main() {
     let seed = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(0xC0FFEE);
     let threads =
         or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
-    // Quick-run reports default to a separate file: BENCH_faults.json is
-    // the committed full baseline and must not be silently clobbered
-    // with incomparable quick-run numbers.
-    let out_path = or_usage(flag_value(&args, "--out"), USAGE).unwrap_or(if quick {
-        "BENCH_faults_quick.json"
-    } else {
-        "BENCH_faults.json"
-    });
 
-    let report = faults_bench_report(slots, trials, ks, threads, seed);
-    let payload = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(out_path, format!("{payload}\n")).expect("write faults report");
-    eprintln!(
-        "faults: engine equivalence OK ({} scenarios, {} deferred, {:.2}s); \
-         conservatism OK ({} scenarios x {} trials, ks {:?}) in {:.2}s on {} threads -> {}",
-        report.equivalence_checked,
-        report.equivalence_deferred,
-        report.equivalence_seconds,
-        report.scenarios.len(),
-        report.trials_per_scenario,
-        report.ks,
-        report.total_seconds,
-        report.threads,
-        out_path
+    let verdicts = fault_conservatism(slots, trials, ks, threads, seed);
+    println!(
+        "== Δ′-model conservatism ({slots} slots, {trials} trials per scenario, seed {seed}) =="
     );
+    println!(
+        "{:<24} | {:>2} | {:>2} | {:>8} | {:>3} | {:>10} | {:>10} | {:>10}",
+        "scenario", "Δ", "Δ′", "deferred", "k", "per-anchor", "exact Δ′", "Theorem 7"
+    );
+    for v in &verdicts {
+        for row in &v.rows {
+            println!(
+                "{:<24} | {:>2} | {:>2} | {:>8} | {:>3} | {:>10.3e} | {:>10} | {:>10}",
+                v.scenario,
+                v.delta,
+                v.delta_prime.map_or("-".to_string(), |d| d.to_string()),
+                v.deferred,
+                row.k,
+                row.per_anchor_frequency,
+                prob(row.exact_reduced),
+                prob(row.theorem7_bound)
+            );
+        }
+    }
+    let mut failed = false;
+    for v in verdicts.iter().filter(|v| v.conservative != Some(true)) {
+        eprintln!(
+            "error: '{}' is not conservative under the Δ′ model (verdict {:?})",
+            v.scenario, v.conservative
+        );
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

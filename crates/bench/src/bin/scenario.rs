@@ -1,14 +1,11 @@
-//! The scenario engine's grid sweep: columnar million-slot executions
-//! across the scenario library, with engine-equivalence enforcement.
+//! The scenario engine's grid sweep over the scenario library, and the
+//! bounded-memory long-horizon run.
 //!
 //! ```bash
-//! # the scenario grid table (200k-slot rows, headline at 10^6 slots):
+//! # the scenario grid table (200k-slot rows):
 //! cargo run -p multihonest-bench --release --bin scenario
 //! # reduced grid:
 //! cargo run -p multihonest-bench --release --bin scenario -- --quick
-//! # timing baseline for the perf trajectory (writes BENCH_scenario.json):
-//! cargo run -p multihonest-bench --release --bin scenario -- bench-report
-//! cargo run -p multihonest-bench --release --bin scenario -- bench-report --quick --out /tmp/b.json
 //! # bounded-memory long-horizon run (eviction + optional WAL resume):
 //! cargo run -p multihonest-bench --release --bin scenario -- horizon --slots 100000000 --wal /tmp/run.wal
 //! ```
@@ -16,32 +13,21 @@
 use multihonest::obs::{Heartbeat, ObsRecorder};
 use multihonest::sim::{SimConfig, Strategy, TieBreak};
 use multihonest_bench::cli::{
-    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_unknown_flags,
+    flag_value, known_positionals, or_usage, parsed_flag, positive_flag, reject_flag_outside,
+    reject_unknown_flags,
 };
-use multihonest_scenario::{
-    run_horizon, run_horizon_observed, scenario_bench_report, HorizonOptions, LeaderProbs,
-    ScenarioBenchReport,
-};
+use multihonest_bench::{default_threads, scenario_grid};
+use multihonest_scenario::{run_horizon, run_horizon_observed, HorizonOptions, LeaderProbs};
 
-fn build_report(quick: bool, seed: u64, threads: usize) -> ScenarioBenchReport {
-    let ks: Vec<usize> = vec![5, 20, 80];
-    if quick {
-        scenario_bench_report(600, 20_000, 100_000, seed, &ks, threads)
-    } else {
-        scenario_bench_report(2_000, 200_000, 1_000_000, seed, &ks, threads)
-    }
-}
-
-const USAGE: &str = "scenario [bench-report | horizon] [--quick] [--seed <u64>] \
-     [--threads <n>] [--out <path>] [--slots <n>] [--segment <n>] [--wal <path>] \
-     [--trace <path>] [--events <path>] [--heartbeat <secs>]";
+const USAGE: &str = "scenario [--quick] [--seed <u64>] [--threads <n>] | scenario horizon \
+     [--seed <u64>] [--slots <n>] [--segment <n>] [--wal <path>] [--trace <path>] \
+     [--events <path>] [--heartbeat <secs>]";
 
 /// `--quick` first: every later flag takes a value.
-const KNOWN_FLAGS: [&str; 10] = [
+const KNOWN_FLAGS: [&str; 9] = [
     "--quick",
     "--seed",
     "--threads",
-    "--out",
     "--slots",
     "--segment",
     "--wal",
@@ -49,6 +35,22 @@ const KNOWN_FLAGS: [&str; 10] = [
     "--events",
     "--heartbeat",
 ];
+
+/// The flags only the grid reads.
+const GRID_FLAGS: [&str; 2] = ["--quick", "--threads"];
+
+/// The flags only `horizon` reads.
+const HORIZON_FLAGS: [&str; 6] = [
+    "--slots",
+    "--segment",
+    "--wal",
+    "--trace",
+    "--events",
+    "--heartbeat",
+];
+
+/// The settlement parameter of the grid's violation column.
+const GRID_K: usize = 20;
 
 /// The `horizon` subcommand: one bounded-memory long-horizon execution
 /// of the canonical private-withholding shape, with settled-prefix
@@ -150,86 +152,48 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     or_usage(reject_unknown_flags(&args, &KNOWN_FLAGS), USAGE);
     let modes = or_usage(
-        known_positionals(&args, &KNOWN_FLAGS[1..], &["bench-report", "horizon"]),
+        known_positionals(&args, &KNOWN_FLAGS[1..], &["horizon"]),
         USAGE,
     );
-    let quick = args.iter().any(|a| a == "--quick");
+    let horizon = modes.contains(&"horizon");
+    for flag in HORIZON_FLAGS {
+        or_usage(reject_flag_outside(&args, flag, "horizon", horizon), USAGE);
+    }
+    for flag in GRID_FLAGS {
+        or_usage(
+            reject_flag_outside(&args, flag, "the scenario grid", !horizon),
+            USAGE,
+        );
+    }
     let seed: u64 = or_usage(parsed_flag(&args, "--seed"), USAGE).unwrap_or(9);
-    if modes.contains(&"horizon") {
+    if horizon {
         run_horizon_cmd(&args, seed);
         return;
     }
-    let report_mode = modes.contains(&"bench-report");
-    let threads = or_usage(positive_flag(&args, "--threads"), USAGE)
-        .unwrap_or_else(multihonest_bench::default_threads);
-    // Quick-grid reports default to a separate file: BENCH_scenario.json
-    // is the committed full-grid baseline and must not be silently
-    // clobbered with incomparable quick-grid numbers.
-    let out_path = or_usage(flag_value(&args, "--out"), USAGE).unwrap_or(if quick {
-        "BENCH_scenario_quick.json"
-    } else {
-        "BENCH_scenario.json"
-    });
+    let quick = args.iter().any(|a| a == "--quick");
+    let threads =
+        or_usage(positive_flag(&args, "--threads"), USAGE).unwrap_or_else(default_threads);
+    let slots = if quick { 20_000 } else { 200_000 };
 
-    let report = build_report(quick, seed, threads);
-
-    if report_mode {
-        let payload = serde_json::to_string_pretty(&report).expect("serializable");
-        std::fs::write(out_path, format!("{payload}\n")).expect("write bench report");
-        eprintln!(
-            "bench-report: {} scenarios bit-identical at {} slots ({:.1}x vs reference); \
-             {}-slot headline {:.2}s ({:.2} Mslots/s) -> {}",
-            report.equivalence_scenarios,
-            report.equivalence_slots,
-            report.speedup,
-            report.million_slots,
-            report.million_run_seconds,
-            report.million_slots_per_second / 1e6,
-            out_path
-        );
-        return;
-    }
-
+    println!("== scenario grid ({slots} slots per row, seed {seed}) ==");
     println!(
-        "== scenario grid ({} slots per row, seed {seed}, {} threads) ==",
-        report.grid_slots, report.threads
-    );
-    println!(
-        "equivalence: {} scenarios bit-identical to sim::reference at {} slots \
-         (reference {:.2}s vs columnar {:.3}s, {:.0}x)",
-        report.equivalence_scenarios,
-        report.equivalence_slots,
-        report.reference_seconds,
-        report.columnar_seconds,
-        report.speedup
-    );
-    println!(
-        "throughput headline: {} slots of private-withholding in {:.2}s ({:.2} Mslots/s)\n",
-        report.million_slots,
-        report.million_run_seconds,
-        report.million_slots_per_second / 1e6
-    );
-    println!(
-        "{:<24} | {:>8} | {:>9} | {:>7} | {:>9} | {:>7} | {:>8} | {:>12}",
+        "{:<24} | {:>7} | {:>9} | {:>7} | {:>8} | {:>16}",
         "scenario",
-        "run s",
-        "Mslots/s",
         "quality",
         "rollbacks",
         "max lag",
-        "viol@k20",
+        format!("viol@k{GRID_K}"),
         "fingerprint"
     );
-    for row in &report.rows {
+    for row in scenario_grid(slots, seed, &[GRID_K], threads) {
         println!(
-            "{:<24} | {:>8.3} | {:>9.2} | {:>7.3} | {:>9} | {:>7} | {:>8} | {:>12x}",
+            "{:<24} | {:>7.3} | {:>9} | {:>7} | {:>8} | {:>16x}",
             row.name,
-            row.run_seconds,
-            row.mslots_per_second,
             row.chain_quality,
             row.rollbacks,
-            row.max_settlement_lag,
-            row.violating_anchors[1],
+            row.max_settlement_lag
+                .map_or("-".to_string(), |l| l.to_string()),
+            row.violating_anchors[0],
             row.fingerprint
         );
     }

@@ -1,17 +1,15 @@
-//! Shared experiment code for the `table1` and `experiments` binaries and
-//! the Criterion benches.
+//! Shared experiment code for the `table1`, `experiments`, `scenario` and
+//! `faults` binaries.
 //!
 //! Every artifact of the paper's evaluation maps to a function here (see
-//! DESIGN.md's experiment index E1–E10); the binaries are thin clients
-//! that format the returned structures as text or JSON.
+//! the experiment index in README.md, "Experiments"); the binaries are
+//! thin clients that format the returned structures as text or JSON.
 
 use serde::Serialize;
 
 use multihonest::chars::{BernoulliCondition, SemiSyncCondition};
 use multihonest::margin::ExactSettlement;
 use multihonest::prelude::*;
-
-pub mod regress;
 
 /// One regenerated cell of paper Table 1.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -110,28 +108,15 @@ pub fn generate_table1_threads(
     ks: &[usize],
     threads: usize,
 ) -> Vec<Table1Cell> {
-    table1_grid_timed(alphas, ratios, ks, threads).0
-}
-
-/// The parallel Table-1 grid plus per-`(α, ratio)`-pair wall-clock
-/// seconds (job order: ratio-major, matching the cell order).
-fn table1_grid_timed(
-    alphas: &[f64],
-    ratios: &[f64],
-    ks: &[usize],
-    threads: usize,
-) -> (Vec<Table1Cell>, Vec<f64>) {
     let pairs: Vec<(f64, f64)> = ratios
         .iter()
         .flat_map(|&ratio| alphas.iter().map(move |&alpha| (alpha, ratio)))
         .collect();
-    let per_pair = run_jobs(pairs.len(), threads, |i| {
+    run_jobs(pairs.len(), threads, |i| {
         let (alpha, ratio) = pairs[i];
-        let start = std::time::Instant::now();
         let exact = ExactSettlement::new(table1_condition(alpha, ratio));
         let ps = exact.violation_probabilities(ks);
-        let cells: Vec<Table1Cell> = ks
-            .iter()
+        ks.iter()
             .zip(&ps)
             .map(|(&k, &probability)| Table1Cell {
                 alpha,
@@ -139,16 +124,11 @@ fn table1_grid_timed(
                 k,
                 probability,
             })
-            .collect();
-        (cells, start.elapsed().as_secs_f64())
-    });
-    let mut cells = Vec::with_capacity(pairs.len() * ks.len());
-    let mut seconds = Vec::with_capacity(pairs.len());
-    for (pair_cells, secs) in per_pair {
-        cells.extend(pair_cells);
-        seconds.push(secs);
-    }
-    (cells, seconds)
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Formats cells in the paper's layout: one block per ratio, rows = k,
@@ -542,8 +522,8 @@ pub mod cli {
     }
 
     /// Fails if `flag` is given while `mode` is not selected — catches a
-    /// flag only `mode` reads (`--out` without `bench-report`) before it
-    /// is silently dropped.
+    /// flag only `mode` reads (`--wal` without `horizon`) before it is
+    /// silently dropped.
     pub fn reject_flag_outside(
         args: &[String],
         flag: &str,
@@ -649,981 +629,80 @@ pub mod cli {
 
         #[test]
         fn mode_only_flags_are_caught_outside_their_mode() {
-            let a = args(&["--quick", "--out", "t.json"]);
+            let a = args(&["--quick", "--wal", "run.wal"]);
+            assert_eq!(reject_flag_outside(&a, "--wal", "horizon", true), Ok(()));
+            let err = reject_flag_outside(&a, "--wal", "horizon", false).unwrap_err();
+            assert_eq!(err.to_string(), "--wal is only valid with horizon");
             assert_eq!(
-                reject_flag_outside(&a, "--out", "bench-report", true),
-                Ok(())
-            );
-            let err = reject_flag_outside(&a, "--out", "bench-report", false).unwrap_err();
-            assert_eq!(err.to_string(), "--out is only valid with bench-report");
-            assert_eq!(
-                reject_flag_outside(&args(&["--quick"]), "--out", "bench-report", false),
+                reject_flag_outside(&args(&["--quick"]), "--wal", "horizon", false),
                 Ok(())
             );
         }
     }
 }
 
-/// A machine-readable timing record of one Table-1 grid regeneration —
-/// the repo's margin-DP perf trajectory (`BENCH_margin.json`). Every PR
-/// that touches the kernel can diff a fresh run against the committed
-/// baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was timed.
-    pub name: String,
-    /// Worker threads used for the `(α, ratio)` fan-out.
-    pub threads: usize,
-    /// Grid: α columns.
-    pub alphas: Vec<f64>,
-    /// Grid: `Pr[h]/(1 − α)` rows.
-    pub ratios: Vec<f64>,
-    /// Grid: settlement horizons.
-    pub ks: Vec<usize>,
-    /// Number of cells produced (`alphas × ratios × ks`).
-    pub cells: usize,
-    /// End-to-end wall-clock seconds for the whole grid.
-    pub total_seconds: f64,
-    /// Cells per wall-clock second.
-    pub cells_per_second: f64,
-    /// Fastest single `(α, ratio)` DP pass, seconds.
-    pub pair_seconds_min: f64,
-    /// Median `(α, ratio)` DP pass, seconds.
-    pub pair_seconds_median: f64,
-    /// Mean `(α, ratio)` DP pass, seconds.
-    pub pair_seconds_mean: f64,
-    /// Slowest single `(α, ratio)` DP pass, seconds.
-    pub pair_seconds_max: f64,
-    /// Sum of all cell probabilities — a cheap cross-run equivalence
-    /// fingerprint of the kernel's numerical output.
-    pub probability_checksum: f64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
+/// One row of the scenario grid: a columnar run of one
+/// [`scenario_library`](multihonest_scenario::scenario_library) scenario.
+#[derive(Debug, Clone)]
+pub struct ScenarioRow {
+    /// Scenario name (unique within the library).
+    pub name: &'static str,
+    /// Chain quality (honest fraction of the final chain).
+    pub chain_quality: f64,
+    /// Recorded honest rollbacks.
+    pub rollbacks: usize,
+    /// Largest observed settlement lag (`None` when no anchor moved).
+    pub max_settlement_lag: Option<usize>,
+    /// Violating anchors at each of the grid's `ks`.
+    pub violating_anchors: Vec<usize>,
+    /// The execution fingerprint
+    /// ([`execution_fingerprint`](multihonest_scenario::execution_fingerprint)).
+    pub fingerprint: u64,
 }
 
-/// Times a Table-1 grid regeneration and returns the cells plus the
-/// [`BenchReport`] describing the run (the `bench-report` mode of the
-/// `table1` binary).
-pub fn bench_report(
-    alphas: &[f64],
-    ratios: &[f64],
-    ks: &[usize],
-    threads: usize,
-) -> (Vec<Table1Cell>, BenchReport) {
-    let start = std::time::Instant::now();
-    let (cells, mut pair_seconds) = table1_grid_timed(alphas, ratios, ks, threads);
-    let total_seconds = start.elapsed().as_secs_f64();
-    pair_seconds.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let pairs = pair_seconds.len().max(1) as f64;
-    let report = BenchReport {
-        schema: "multihonest-bench-margin/v1".to_string(),
-        name: "table1_grid".to_string(),
-        threads,
-        alphas: alphas.to_vec(),
-        ratios: ratios.to_vec(),
-        ks: ks.to_vec(),
-        cells: cells.len(),
-        total_seconds,
-        cells_per_second: cells.len() as f64 / total_seconds.max(f64::MIN_POSITIVE),
-        pair_seconds_min: pair_seconds.first().copied().unwrap_or(0.0),
-        pair_seconds_median: pair_seconds
-            .get(pair_seconds.len() / 2)
-            .copied()
-            .unwrap_or(0.0),
-        pair_seconds_mean: pair_seconds.iter().sum::<f64>() / pairs,
-        pair_seconds_max: pair_seconds.last().copied().unwrap_or(0.0),
-        probability_checksum: cells.iter().map(|c| c.probability).sum(),
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    };
-    (cells, report)
-}
-
-/// A machine-readable timing record of one simulator settlement sweep —
-/// the consistency-layer perf trajectory (`BENCH_sim.json`), mirroring
-/// [`BenchReport`] for the margin DP. The oracle timings come from the
-/// retained naive scan, and the builder asserts the two paths produce
-/// **bit-identical** violating-slot sets before reporting any numbers.
-#[derive(Debug, Clone, Serialize)]
-pub struct SimBenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was timed.
-    pub name: String,
-    /// Simulated slots.
-    pub slots: usize,
-    /// Honest nodes.
-    pub honest_nodes: usize,
-    /// Adversarial stake.
-    pub adversarial_stake: f64,
-    /// Active-slot coefficient `f`.
-    pub active_slot_coeff: f64,
-    /// Network delay bound `Δ`.
-    pub delta: usize,
-    /// Adversarial strategy.
-    pub strategy: String,
-    /// Execution seed.
-    pub seed: u64,
-    /// Settlement parameters swept.
-    pub ks: Vec<usize>,
-    /// Wall-clock seconds for `Simulation::run` (includes folding the
-    /// divergence index).
-    pub run_seconds: f64,
-    /// Full `(1..=slots) × ks` sweep through the indexed batch API.
-    pub indexed_sweep_seconds: f64,
-    /// The same sweep through the naive per-query scan.
-    pub oracle_sweep_seconds: f64,
-    /// `oracle_sweep_seconds / indexed_sweep_seconds`.
-    pub sweep_speedup: f64,
-    /// Violating anchors per `k` — the equivalence fingerprint.
-    pub violating_slots_per_k: Vec<usize>,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
-}
-
-/// The canonical sim-bench configuration: the 2000-slot private
-/// withholding execution named by the ROADMAP as the simulator's
-/// remaining hot path (identical to the criterion `sim_bench` shape).
-pub fn sim_bench_config(slots: usize) -> SimConfig {
-    SimConfig {
-        honest_nodes: 10,
-        adversarial_stake: 0.3,
-        active_slot_coeff: 0.25,
-        delta: 2,
-        slots,
-        tie_break: TieBreak::AdversarialOrder,
-        strategy: Strategy::PrivateWithholding,
-    }
-}
-
-/// Runs the settlement-sweep benchmark: one execution, then the full
-/// `(1..=slots) × ks` violation sweep through both the indexed batch API
-/// and the naive oracle, timing each.
-///
-/// # Panics
-///
-/// Panics if the two paths disagree on any violating-slot set — the
-/// equivalence check is part of the benchmark, so a drifting index can
-/// never produce a plausible-looking baseline.
-pub fn sim_bench_report(cfg: &SimConfig, seed: u64, ks: &[usize]) -> SimBenchReport {
-    let run_start = std::time::Instant::now();
-    let sim = Simulation::run(cfg, seed);
-    let run_seconds = run_start.elapsed().as_secs_f64();
-
-    let indexed_start = std::time::Instant::now();
-    let indexed: Vec<Vec<bool>> = ks.iter().map(|&k| sim.settlement_violations(k)).collect();
-    let indexed_sweep_seconds = indexed_start.elapsed().as_secs_f64();
-
-    let oracle_start = std::time::Instant::now();
-    let oracle: Vec<Vec<bool>> = ks
-        .iter()
-        .map(|&k| {
-            (1..=cfg.slots)
-                .map(|s| sim.settlement_violation_oracle(s, k))
-                .collect()
-        })
-        .collect();
-    let oracle_sweep_seconds = oracle_start.elapsed().as_secs_f64();
-
-    for ((&k, idx), orc) in ks.iter().zip(&indexed).zip(&oracle) {
-        assert_eq!(
-            idx, orc,
-            "indexed settlement sweep diverged from the oracle at k = {k}"
-        );
-    }
-    SimBenchReport {
-        schema: "multihonest-bench-sim/v1".to_string(),
-        name: "settlement_sweep".to_string(),
-        slots: cfg.slots,
-        honest_nodes: cfg.honest_nodes,
-        adversarial_stake: cfg.adversarial_stake,
-        active_slot_coeff: cfg.active_slot_coeff,
-        delta: cfg.delta,
-        strategy: cfg.strategy.name().to_string(),
-        seed,
-        ks: ks.to_vec(),
-        run_seconds,
-        indexed_sweep_seconds,
-        oracle_sweep_seconds,
-        sweep_speedup: oracle_sweep_seconds / indexed_sweep_seconds.max(f64::MIN_POSITIVE),
-        violating_slots_per_k: indexed
-            .iter()
-            .map(|v| v.iter().filter(|&&b| b).count())
-            .collect(),
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    }
-}
-
-/// A machine-readable timing record of the optimal adversary `A*` —
-/// the game-side perf trajectory (`BENCH_astar.json`), mirroring
-/// [`BenchReport`] (margin DP) and [`SimBenchReport`] (simulator). The
-/// oracle timings come from the retained definitional implementation
-/// (`astar::reference`), and the builder asserts the two paths produce
-/// **bit-identical forks** before reporting any numbers.
-#[derive(Debug, Clone, Serialize)]
-pub struct AstarBenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was timed.
-    pub name: String,
-    /// Honest margin `ε` of the sampled condition.
-    pub epsilon: f64,
-    /// Uniquely honest probability `p_h` of the sampled condition.
-    pub p_h: f64,
-    /// Seed for the per-`n` sampled strings.
-    pub seed: u64,
-    /// String lengths timed through the incremental engine.
-    pub ns: Vec<usize>,
-    /// Best-of-3 engine build seconds per `n`.
-    pub engine_seconds: Vec<f64>,
-    /// Canonical-fork vertex counts per `n` — the structural fingerprint.
-    pub vertices: Vec<usize>,
-    /// `ρ(F)` of the engine-built fork per `n`, asserted equal to the
-    /// recurrence `ρ(w)` (Theorem 6) — the semantic fingerprint.
-    pub rhos: Vec<i64>,
-    /// The subset of `ns` also driven through the definitional oracle.
-    pub oracle_ns: Vec<usize>,
-    /// Best-of-3 oracle build seconds per oracle `n`.
-    pub oracle_seconds: Vec<f64>,
-    /// `oracle_seconds / engine_seconds` per oracle `n`.
-    pub speedups: Vec<f64>,
-    /// The speedup at the largest oracle-checked `n` — the headline
-    /// number of the seed-audit hot path.
-    pub speedup_at_largest_oracle_n: f64,
-    /// Monte-Carlo sweep: string length.
-    pub mc_len: usize,
-    /// Monte-Carlo sweep: trials.
-    pub mc_trials: u64,
-    /// Monte-Carlo sweep: worker threads.
-    pub mc_threads: usize,
-    /// Monte-Carlo sweep: wall-clock seconds.
-    pub mc_seconds: f64,
-    /// Monte-Carlo sweep: trials where game-side `ρ(F)` matched the
-    /// recurrence `ρ(w)` (must equal `mc_trials`).
-    pub mc_rho_agreements: u64,
-    /// Monte-Carlo sweep: mean `ρ` over trials.
-    pub mc_mean_rho: f64,
-    /// Monte-Carlo sweep: mean `µ_ε(w)` over trials.
-    pub mc_mean_margin: f64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
-}
-
-/// The canonical astar-bench condition (matches `astar_bench.rs`).
-pub fn astar_bench_condition() -> BernoulliCondition {
-    BernoulliCondition::new(0.2, 0.4).expect("valid condition")
-}
-
-/// Runs the `A*` benchmark: per `n`, a seeded string is built into a
-/// canonical fork through the incremental engine (best-of-3 timing); for
-/// every `n` also listed in `oracle_ns`, the definitional oracle builds
-/// the same string and the two forks are asserted **bit-identical**
-/// before their timings are compared. A
-/// [`CanonicalMonteCarlo`](multihonest::adversary::CanonicalMonteCarlo)
-/// sweep at `mc_len` rounds out the report with the Theorem-6
-/// cross-validation at scale.
-///
-/// # Panics
-///
-/// Panics if the engine and oracle forks differ, if an `oracle_ns` entry
-/// is missing from `ns`, or if any Monte-Carlo trial's `ρ` disagrees with
-/// the recurrence — a drifting engine can never produce a
-/// plausible-looking baseline.
-pub fn astar_bench_report(
-    ns: &[usize],
-    oracle_ns: &[usize],
-    mc_len: usize,
-    mc_trials: u64,
-    threads: usize,
-    seed: u64,
-) -> AstarBenchReport {
-    use multihonest::adversary::astar::reference;
-    use multihonest::adversary::{CanonicalMonteCarlo, OptimalAdversary};
-    use multihonest::fork::ReachAnalysis;
-    use multihonest::margin::recurrence;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let cond = astar_bench_condition();
-    let best_of_3 = |f: &mut dyn FnMut()| -> f64 {
-        (0..3)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                f();
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-
-    let mut engine_seconds = Vec::new();
-    let mut vertices = Vec::new();
-    let mut rhos = Vec::new();
-    let mut oracle_seconds = Vec::new();
-    let mut speedups = Vec::new();
-    for (i, &n) in ns.iter().enumerate() {
-        let w = cond.sample(&mut StdRng::seed_from_u64(seed ^ (n as u64)), n);
-        let fork = OptimalAdversary::build(&w);
-        let secs = best_of_3(&mut || {
-            std::hint::black_box(OptimalAdversary::build(std::hint::black_box(&w)));
-        });
-        engine_seconds.push(secs);
-        vertices.push(fork.vertex_count());
-        // The fork's own ρ — asserted against the recurrence (Theorem 6)
-        // so the fingerprint reads the engine's output, not the theory's.
-        let fork_rho = ReachAnalysis::new(&fork).rho();
-        assert_eq!(
-            fork_rho,
-            recurrence::rho(&w),
-            "ρ(F) must equal the recurrence ρ(w) at n = {n} (Theorem 6)"
-        );
-        rhos.push(fork_rho);
-        if oracle_ns.contains(&n) {
-            let oracle = reference::build(&w);
-            assert_eq!(
-                fork, oracle,
-                "engine fork diverged from the oracle at n = {n}"
-            );
-            let osecs = best_of_3(&mut || {
-                std::hint::black_box(reference::build(std::hint::black_box(&w)));
-            });
-            oracle_seconds.push(osecs);
-            speedups.push(osecs / engine_seconds[i].max(f64::MIN_POSITIVE));
+/// Runs every library scenario at `slots` on the columnar engine, fanned
+/// out across `threads` workers; rows come back in library order and
+/// are identical for every thread count (the `scenario` binary).
+pub fn scenario_grid(slots: usize, seed: u64, ks: &[usize], threads: usize) -> Vec<ScenarioRow> {
+    use multihonest_scenario::{execution_fingerprint, scenario_library, ColumnarSimulation};
+    let library = scenario_library(slots);
+    run_jobs(library.len(), threads, |i| {
+        let sc = &library[i];
+        let schedule = sc.schedule(seed);
+        let mut strategy = sc.strategy();
+        let sim = ColumnarSimulation::run_with_schedule(&sc.config, &schedule, strategy.as_mut());
+        let m = sim.metrics();
+        ScenarioRow {
+            name: sc.name,
+            chain_quality: m.chain_quality(),
+            rollbacks: m.rollback_count,
+            max_settlement_lag: m.max_settlement_lag,
+            violating_anchors: ks
+                .iter()
+                .map(|&k| sim.count_violating_slots(k, slots))
+                .collect(),
+            fingerprint: execution_fingerprint(&sim),
         }
-    }
-    assert_eq!(
-        oracle_seconds.len(),
-        oracle_ns.len(),
-        "every oracle n must appear in ns"
-    );
-
-    let mc = CanonicalMonteCarlo::new(cond, mc_trials, seed).with_threads(threads);
-    let mc_start = std::time::Instant::now();
-    let summary = mc.summary(mc_len);
-    let mc_seconds = mc_start.elapsed().as_secs_f64();
-    assert_eq!(
-        summary.rho_agreements, mc_trials,
-        "game-side ρ must match the recurrence on every trial (Theorem 6)"
-    );
-
-    AstarBenchReport {
-        schema: "multihonest-bench-astar/v1".to_string(),
-        name: "astar_build".to_string(),
-        epsilon: cond.epsilon(),
-        p_h: cond.p_unique_honest(),
-        seed,
-        ns: ns.to_vec(),
-        engine_seconds,
-        vertices,
-        rhos,
-        oracle_ns: oracle_ns.to_vec(),
-        oracle_seconds,
-        speedup_at_largest_oracle_n: speedups.last().copied().unwrap_or(0.0),
-        speedups,
-        mc_len,
-        mc_trials,
-        mc_threads: threads,
-        mc_seconds,
-        mc_rho_agreements: summary.rho_agreements,
-        mc_mean_rho: summary.mean_rho,
-        mc_mean_margin: summary.mean_margin,
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    }
+    })
 }
 
-/// A machine-readable timing record of one campaign sweep — the
-/// orchestrator's perf trajectory (`BENCH_sweep.json`), mirroring
-/// [`BenchReport`] for the margin DP. The builder first replays a tiny
-/// grid through an interrupt + resume and asserts the rendered report is
-/// **byte-identical** to a straight run before timing anything, so a
-/// broken checkpoint path can never produce a plausible-looking
-/// baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepBenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was timed.
-    pub name: String,
-    /// Worker threads used for the campaign.
-    pub threads: usize,
-    /// Root seed of the seed-sharding scheme.
-    pub seed: u64,
-    /// Spec fingerprint (ties the numbers to one exact grid).
-    pub spec_fingerprint: u64,
-    /// Grid cells (strategy × Δ × stake-profile).
-    pub cells: usize,
-    /// Trials per cell.
-    pub trials_per_cell: u64,
-    /// Total executions (`cells × trials_per_cell`).
-    pub executions: u64,
-    /// Slots per execution.
-    pub slots: usize,
-    /// Settlement parameters per cell.
-    pub ks: Vec<usize>,
-    /// Cells of the interrupt/resume equivalence pre-check grid.
-    pub resume_check_cells: usize,
-    /// Wall-clock seconds of that pre-check (two short campaigns).
-    pub resume_check_seconds: f64,
-    /// End-to-end wall-clock seconds for the timed campaign.
-    pub run_seconds: f64,
-    /// Executions per wall-clock second.
-    pub executions_per_second: f64,
-    /// Simulated slots per wall-clock second, in millions.
-    pub mslots_per_second: f64,
-    /// Executions with ≥ 1 violating anchor at the smallest `k`, summed
-    /// over the grid — a cheap cross-run equivalence fingerprint.
-    pub violations_at_smallest_k: u64,
-    /// Wrapping sum of the per-cell aggregate fingerprints — the strong
-    /// cross-run equivalence fingerprint (thread-count invariant).
-    pub aggregate_checksum: u64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
-}
-
-/// The interrupt/resume equivalence pre-check: runs a tiny campaign
-/// straight, then interrupted-and-resumed on a different thread count,
-/// and asserts the rendered reports are byte-identical.
-///
-/// # Panics
-///
-/// Panics if the two report byte streams differ, or if the scratch
-/// checkpoint cannot be written.
-fn sweep_resume_precheck(seed: u64) -> (usize, f64) {
-    use multihonest_sweep::{campaign_report, report_json, run_campaign, CampaignSpec, RunOptions};
-    let start = std::time::Instant::now();
-    let mut spec = CampaignSpec::quick_grid();
-    spec.seed = seed ^ 0x5EED_CAFE;
-    spec.slots = 120;
-    spec.trials_per_cell = 12;
-    let straight = run_campaign(&spec, &RunOptions::default()).expect("no checkpoint involved");
-    let oracle = report_json(&campaign_report(&spec, &straight));
-
-    let path = std::env::temp_dir().join(format!("multihonest-sweep-precheck-{seed}.json"));
-    let _ = std::fs::remove_file(&path);
-    let interrupted = run_campaign(
-        &spec,
-        &RunOptions {
-            threads: 2,
-            checkpoint: Some(path.clone()),
-            stop_after_cells: Some(2),
-        },
-    )
-    .expect("write scratch checkpoint");
-    assert!(!interrupted.is_complete(), "interrupt did not interrupt");
-    let resumed = run_campaign(
-        &spec,
-        &RunOptions {
-            threads: 4,
-            checkpoint: Some(path.clone()),
-            stop_after_cells: None,
-        },
-    )
-    .expect("resume from scratch checkpoint");
-    let _ = std::fs::remove_file(&path);
-    assert!(resumed.is_complete());
-    assert_eq!(
-        report_json(&campaign_report(&spec, &resumed)),
-        oracle,
-        "interrupted + resumed campaign diverged from the straight run"
-    );
-    (spec.cell_count(), start.elapsed().as_secs_f64())
-}
-
-/// Runs the campaign-sweep benchmark: the resume pre-check, then one
-/// timed campaign over `spec`, returning the campaign report plus the
-/// [`SweepBenchReport`] describing the run (the `bench-report` mode of
-/// the `sweep` binary).
-///
-/// # Panics
-///
-/// Panics if the pre-check finds an interrupt/resume divergence or the
-/// campaign does not complete.
-pub fn sweep_bench_report(
-    spec: &multihonest_sweep::CampaignSpec,
-    threads: usize,
-) -> (multihonest_sweep::CampaignReport, SweepBenchReport) {
-    use multihonest_sweep::{campaign_report, run_campaign, RunOptions};
-    let (resume_check_cells, resume_check_seconds) = sweep_resume_precheck(spec.seed);
-
-    let start = std::time::Instant::now();
-    let outcome = run_campaign(
-        spec,
-        &RunOptions {
-            threads,
-            checkpoint: None,
-            stop_after_cells: None,
-        },
-    )
-    .expect("no checkpoint involved");
-    let run_seconds = start.elapsed().as_secs_f64();
-    assert!(outcome.is_complete(), "untimed-out campaign must complete");
-    let report = campaign_report(spec, &outcome);
-
-    let executions = spec.executions();
-    let aggregate_checksum = outcome
-        .aggregates
-        .iter()
-        .flatten()
-        .fold(0u64, |acc, a| acc.wrapping_add(a.fingerprint));
-    let violations_at_smallest_k = outcome
-        .aggregates
-        .iter()
-        .flatten()
-        .map(|a| a.violating_executions.first().copied().unwrap_or(0))
-        .sum();
-    let bench = SweepBenchReport {
-        schema: "multihonest-bench-sweep/v1".to_string(),
-        name: "campaign_sweep".to_string(),
-        threads,
-        seed: spec.seed,
-        spec_fingerprint: spec.fingerprint(),
-        cells: spec.cell_count(),
-        trials_per_cell: spec.trials_per_cell,
-        executions,
-        slots: spec.slots,
-        ks: spec.ks.clone(),
-        resume_check_cells,
-        resume_check_seconds,
-        run_seconds,
-        executions_per_second: executions as f64 / run_seconds.max(f64::MIN_POSITIVE),
-        mslots_per_second: executions as f64 * spec.slots as f64
-            / run_seconds.max(f64::MIN_POSITIVE)
-            / 1e6,
-        violations_at_smallest_k,
-        aggregate_checksum,
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    };
-    (report, bench)
-}
-
-/// A machine-readable record of the fault-injection conservatism sweep —
-/// the robustness trajectory (`BENCH_faults.json`), mirroring
-/// [`SweepBenchReport`] for the campaign orchestrator. Before measuring
-/// anything the builder replays every library scenario through **both**
-/// engines and asserts their degradation ledgers are identical, and the
-/// conservatism harness itself must return `Some(true)` for every
-/// scenario — a drifting fault runtime or a broken Δ′ reduction can
-/// never produce a plausible-looking baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultsBenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was measured.
-    pub name: String,
-    /// Worker threads for the per-scenario fan-out.
-    pub threads: usize,
-    /// Root seed of the per-trial seed derivation.
-    pub seed: u64,
-    /// Slots per execution (the fault library scales its windows to it).
-    pub slots: usize,
-    /// Seeded trials per scenario.
-    pub trials_per_scenario: u64,
-    /// Settlement parameters checked per scenario.
-    pub ks: Vec<usize>,
-    /// Per-scenario conservatism verdicts (the payload).
-    pub scenarios: Vec<multihonest_sweep::ScenarioConservatism>,
-    /// Wall-clock seconds per scenario's trial batch.
-    pub scenario_seconds: Vec<f64>,
-    /// Every scenario's verdict was `Some(true)` (asserted by the
-    /// builder; recorded for downstream diffing).
-    pub all_conservative: bool,
-    /// Scenarios replayed through both engines in the equivalence
-    /// pre-check.
-    pub equivalence_checked: usize,
-    /// Deferred deliveries observed in the pre-check replays (both
-    /// engines agreed on every ledger).
-    pub equivalence_deferred: u64,
-    /// Wrapping sum of the columnar execution fingerprints of the
-    /// pre-check replays — the cross-run equivalence fingerprint.
-    pub fingerprint_checksum: u64,
-    /// Wall-clock seconds of the equivalence pre-check.
-    pub equivalence_seconds: f64,
-    /// End-to-end wall-clock seconds.
-    pub total_seconds: f64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
-}
-
-/// Runs the fault-injection benchmark: the dual-engine equivalence
-/// pre-check over the whole [`fault_library`], then the Δ-conservatism
-/// harness ([`check_conservatism`]) per scenario, fanned out across
-/// `threads` workers (the `faults` binary).
-///
-/// # Panics
-///
-/// Panics if the two engines disagree on any scenario's degradation
-/// ledger, or if any scenario's conservatism verdict is not
-/// `Some(true)`.
-///
-/// [`fault_library`]: multihonest_scenario::fault_library
-/// [`check_conservatism`]: multihonest_sweep::check_conservatism
-pub fn faults_bench_report(
+/// The Δ′-model conservatism verdict of every
+/// [`fault_library`](multihonest_scenario::fault_library) scenario at
+/// `slots`, from `trials` seeded executions each
+/// ([`check_conservatism`](multihonest_sweep::check_conservatism)),
+/// fanned out across `threads` workers; verdicts come back in library
+/// order and are identical for every thread count (the `faults` binary).
+pub fn fault_conservatism(
     slots: usize,
-    trials_per_scenario: u64,
+    trials: u64,
     ks: &[usize],
     threads: usize,
     seed: u64,
-) -> FaultsBenchReport {
-    use multihonest_scenario::{execution_fingerprint, fault_library, ColumnarSimulation};
-    use multihonest_sweep::check_conservatism;
-
-    let start = std::time::Instant::now();
-    let library = fault_library(slots);
-
-    // Equivalence pre-check: one replay of every scenario on each
-    // engine; the ledgers (deferral/drop/window accounting) must match
-    // event for event.
-    let eq_start = std::time::Instant::now();
-    let eq_seed = seed ^ 0xFA_17;
-    let mut equivalence_deferred = 0u64;
-    let mut fingerprint_checksum = 0u64;
-    for sc in &library {
-        let schedule = sc.schedule(eq_seed);
-        let mut strategy = sc.config.strategy.instantiate();
-        let (sim, ledger) = ColumnarSimulation::run_with_schedule_faults(
-            &sc.config,
-            &schedule,
-            strategy.as_mut(),
-            &sc.plan,
-        );
-        fingerprint_checksum = fingerprint_checksum.wrapping_add(execution_fingerprint(&sim));
-        let mut ref_strategy = sc.config.strategy.instantiate();
-        let (_, ref_ledger) = Simulation::run_with_schedule_faults(
-            &sc.config,
-            sc.reference_schedule(eq_seed),
-            ref_strategy.as_mut(),
-            &sc.plan,
-        );
-        assert_eq!(
-            ref_ledger, ledger,
-            "engines disagree on the '{}' degradation ledger",
-            sc.name
-        );
-        equivalence_deferred += ledger.deferred;
-    }
-    let equivalence_seconds = eq_start.elapsed().as_secs_f64();
-
-    let per_scenario = run_jobs(library.len(), threads, |i| {
-        let t0 = std::time::Instant::now();
-        let verdict = check_conservatism(&library[i], trials_per_scenario, ks, seed);
-        (verdict, t0.elapsed().as_secs_f64())
-    });
-    let mut scenarios = Vec::with_capacity(per_scenario.len());
-    let mut scenario_seconds = Vec::with_capacity(per_scenario.len());
-    for (verdict, secs) in per_scenario {
-        assert_eq!(
-            verdict.conservative,
-            Some(true),
-            "'{}' exceeded its Δ′-model prediction: {:?}",
-            verdict.scenario,
-            verdict.rows
-        );
-        scenarios.push(verdict);
-        scenario_seconds.push(secs);
-    }
-
-    FaultsBenchReport {
-        schema: "multihonest-bench-faults/v1".to_string(),
-        name: "fault_conservatism".to_string(),
-        threads,
-        seed,
-        slots,
-        trials_per_scenario,
-        ks: ks.to_vec(),
-        all_conservative: scenarios.iter().all(|s| s.conservative == Some(true)),
-        equivalence_checked: library.len(),
-        equivalence_deferred,
-        fingerprint_checksum,
-        equivalence_seconds,
-        scenarios,
-        scenario_seconds,
-        total_seconds: start.elapsed().as_secs_f64(),
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    }
-}
-
-/// A machine-readable timing record of the streaming fork pipeline —
-/// the online-validation perf trajectory (`BENCH_forkflow.json`). Two
-/// headline comparisons:
-///
-/// * **online Δ-axiom validation**: a streaming columnar run (fork
-///   built, (F1)–(F3)+(F4Δ) decided and margin channel drained in one
-///   pass) against the replay-then-validate baseline that used to gate
-///   scale — a reference-engine replay plus the batch `validate_delta`
-///   sweep over the extracted fork;
-/// * **incremental µ_x witnesses**: the `AstarBuilder`'s tracked-cut
-///   margins (`O(log n)` per symbol) against a per-step
-///   `ReachAnalysis` rebuild (`O(n)` per symbol).
-///
-/// Both comparisons assert bit-level equivalence before any timing is
-/// reported, so a drifting pipeline can never produce a
-/// plausible-looking baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct ForkflowBenchReport {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// What was timed.
-    pub name: String,
-    /// Seed of the sampled schedules and strings.
-    pub seed: u64,
-    /// Delay bound Δ of the streamed executions.
-    pub delta: usize,
-    /// Horizon of the headline streaming run.
-    pub streaming_slots: usize,
-    /// Wall-clock seconds of the headline streaming run.
-    pub streaming_seconds: f64,
-    /// Slots per second of the headline streaming run.
-    pub streaming_slots_per_second: f64,
-    /// Vertices of the streamed fork (blocks incl. genesis).
-    pub streaming_vertices: usize,
-    /// The online verdict was `Ok` (asserted; fault-free runs cannot
-    /// violate the axioms thanks to the engine-side Δ clamp).
-    pub streaming_valid: bool,
-    /// Margin-channel events observed (one per reduced symbol).
-    pub streaming_margin_events: usize,
-    /// Final reach ρ of the Δ-reduced characteristic string.
-    pub streaming_rho: i64,
-    /// Final relative margin µ_ε of the Δ-reduced string.
-    pub streaming_margin: i64,
-    /// Common horizon of the validation comparison.
-    pub baseline_slots: usize,
-    /// Replay-then-validate seconds: reference replay + fork extraction
-    /// + batch `validate_delta`.
-    pub replay_validate_seconds: f64,
-    /// Streaming-validated seconds at the same horizon.
-    pub streaming_at_baseline_seconds: f64,
-    /// `replay_validate_seconds / streaming_at_baseline_seconds` — the
-    /// headline of the streaming refactor.
-    pub validation_speedup: f64,
-    /// Length of the µ_x tracking comparison's sampled string.
-    pub mu_len: usize,
-    /// Cuts `x` whose relative margins µ_x were tracked.
-    pub mu_cuts: Vec<usize>,
-    /// Seconds to stream the string through tracked `CutTracker`s.
-    pub mu_tracked_seconds: f64,
-    /// Seconds for the per-step `ReachAnalysis`-rebuild baseline.
-    pub mu_rebuild_seconds: f64,
-    /// `mu_rebuild_seconds / mu_tracked_seconds`.
-    pub mu_speedup: f64,
-    /// step × cut equivalence checks performed (tracked ≡ rebuild).
-    pub mu_checks: usize,
-    /// End-to-end wall-clock seconds.
-    pub total_seconds: f64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time_seconds: u64,
-}
-
-/// Counts margin-channel events and keeps the latest observation.
-#[derive(Default)]
-struct MarginChannelProbe {
-    events: usize,
-}
-
-impl multihonest::sim::MetricsSink for MarginChannelProbe {
-    fn on_margin(&mut self, _slot: usize, _rho: i64, _margin: i64) {
-        self.events += 1;
-    }
-}
-
-/// Runs the streaming-fork-pipeline benchmark (the `forkflow` binary):
-/// the online-validation comparison at `baseline_slots`, the headline
-/// streaming run at `streaming_slots`, and the incremental-µ_x
-/// comparison on a length-`mu_len` sampled string.
-///
-/// # Panics
-///
-/// Panics if the streamed fork differs from the reference engine's
-/// extraction, if the online verdict disagrees with the batch
-/// `validate_delta` oracle (or is not `Ok` on these fault-free runs),
-/// or if any tracked µ_x disagrees with the `ReachAnalysis` rebuild at
-/// any step.
-pub fn forkflow_bench_report(
-    streaming_slots: usize,
-    baseline_slots: usize,
-    mu_len: usize,
-    seed: u64,
-) -> ForkflowBenchReport {
-    use multihonest::adversary::AstarBuilder;
-    use multihonest::fork::validate::validate_delta;
-    use multihonest::fork::ReachAnalysis;
-    use multihonest::sim::{SimConfig, Simulation, Strategy, TieBreak};
-    use multihonest_scenario::{run_streaming_validated, ColumnarSchedule};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let start = std::time::Instant::now();
-    let delta = 2usize;
-    let cfg = |slots: usize| SimConfig {
-        honest_nodes: 6,
-        adversarial_stake: 0.3,
-        active_slot_coeff: 0.3,
-        delta,
-        slots,
-        tie_break: TieBreak::AdversarialOrder,
-        strategy: Strategy::PrivateWithholding,
-    };
-
-    // --- Validation comparison at the common horizon. ---
-    let config = cfg(baseline_slots);
-    let schedule = ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    );
-    let mut strategy = config.strategy.instantiate();
-    let mut probe = MarginChannelProbe::default();
-    let t0 = std::time::Instant::now();
-    let out = run_streaming_validated(&config, &schedule, strategy.as_mut(), &mut probe);
-    let streaming_at_baseline_seconds = t0.elapsed().as_secs_f64();
-
-    // The baseline this pipeline retires: replay the execution through
-    // the reference engine, extract its fork, then run the batch
-    // axiom sweep (quadratic in the honest-slot count) over it.
-    let t0 = std::time::Instant::now();
-    let replay = Simulation::run(&config, seed);
-    let extracted = replay.fork();
-    let batch = validate_delta(extracted.fork(), extracted.characteristic_string(), delta);
-    let replay_validate_seconds = t0.elapsed().as_secs_f64();
-
-    assert_eq!(
-        &out.pipeline.fork,
-        extracted.fork(),
-        "streamed fork diverged from the reference extraction"
-    );
-    assert_eq!(
-        out.pipeline.validation.is_ok(),
-        batch.is_ok(),
-        "online verdict disagrees with the batch oracle"
-    );
-    assert_eq!(
-        out.pipeline.validation,
-        Ok(()),
-        "a fault-free Δ-clamped execution must satisfy the axioms"
-    );
-    let validation_speedup =
-        replay_validate_seconds / streaming_at_baseline_seconds.max(f64::MIN_POSITIVE);
-
-    // --- Headline streaming run: no replay at all. ---
-    let config = cfg(streaming_slots);
-    let schedule = ColumnarSchedule::sample(
-        config.honest_nodes,
-        config.adversarial_stake,
-        config.active_slot_coeff,
-        config.slots,
-        seed,
-    );
-    let mut strategy = config.strategy.instantiate();
-    let mut probe = MarginChannelProbe::default();
-    let t0 = std::time::Instant::now();
-    let out = run_streaming_validated(&config, &schedule, strategy.as_mut(), &mut probe);
-    let streaming_seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        out.pipeline.validation,
-        Ok(()),
-        "the headline run must validate online"
-    );
-
-    // --- Incremental µ_x witnesses vs per-step rebuild. ---
-    let w = astar_bench_condition().sample(&mut StdRng::seed_from_u64(seed ^ 0xF0_17), mu_len);
-    let mu_cuts = vec![0, mu_len / 4, mu_len / 2];
-    let mut mu_checks = 0usize;
-
-    let t0 = std::time::Instant::now();
-    let mut tracked = AstarBuilder::new();
-    for &cut in &mu_cuts {
-        tracked.track_cut(cut);
-    }
-    let mut tracked_margins: Vec<i64> = Vec::with_capacity(mu_len * mu_cuts.len());
-    for &sym in w.symbols() {
-        tracked.step(sym);
-        for &cut in &mu_cuts {
-            tracked_margins.push(tracked.relative_margin(cut).expect("cut is tracked"));
-        }
-    }
-    let mu_tracked_seconds = t0.elapsed().as_secs_f64();
-
-    let t0 = std::time::Instant::now();
-    let mut rebuilt = AstarBuilder::new();
-    let mut rebuilt_margins: Vec<i64> = Vec::with_capacity(mu_len * mu_cuts.len());
-    for (i, &sym) in w.symbols().iter().enumerate() {
-        rebuilt.step(sym);
-        let analysis = ReachAnalysis::new(rebuilt.fork());
-        for &cut in &mu_cuts {
-            rebuilt_margins.push(analysis.relative_margin(cut.min(i + 1)));
-        }
-    }
-    let mu_rebuild_seconds = t0.elapsed().as_secs_f64();
-
-    for (step, (got, want)) in tracked_margins.iter().zip(&rebuilt_margins).enumerate() {
-        assert_eq!(
-            got,
-            want,
-            "tracked µ_x diverged from the rebuild at check {step} (cut {})",
-            mu_cuts[step % mu_cuts.len()]
-        );
-        mu_checks += 1;
-    }
-    // Witness sanity at the end of the stream: every tracked cut's
-    // witness pair must attain its margin under a fresh analysis.
-    let analysis = ReachAnalysis::new(tracked.fork());
-    for &cut in &mu_cuts {
-        let margin = tracked.relative_margin(cut).expect("cut is tracked");
-        let (a, b) = tracked.margin_witness(cut).expect("nonempty fork");
-        assert_eq!(
-            analysis.reach(a).min(analysis.reach(b)),
-            margin,
-            "witness pair does not attain µ_{cut}"
-        );
-    }
-    let mu_speedup = mu_rebuild_seconds / mu_tracked_seconds.max(f64::MIN_POSITIVE);
-
-    ForkflowBenchReport {
-        schema: "multihonest-bench-forkflow/v1".to_string(),
-        name: "streaming_fork_pipeline".to_string(),
-        seed,
-        delta,
-        streaming_slots,
-        streaming_seconds,
-        streaming_slots_per_second: streaming_slots as f64
-            / streaming_seconds.max(f64::MIN_POSITIVE),
-        streaming_vertices: out.pipeline.fork.vertex_count(),
-        streaming_valid: out.pipeline.validation.is_ok(),
-        streaming_margin_events: probe.events,
-        streaming_rho: out.pipeline.rho,
-        streaming_margin: out.pipeline.margin,
-        baseline_slots,
-        replay_validate_seconds,
-        streaming_at_baseline_seconds,
-        validation_speedup,
-        mu_len,
-        mu_cuts,
-        mu_tracked_seconds,
-        mu_rebuild_seconds,
-        mu_speedup,
-        mu_checks,
-        total_seconds: start.elapsed().as_secs_f64(),
-        unix_time_seconds: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    }
+) -> Vec<multihonest_sweep::ScenarioConservatism> {
+    let library = multihonest_scenario::fault_library(slots);
+    run_jobs(library.len(), threads, |i| {
+        multihonest_sweep::check_conservatism(&library[i], trials, ks, seed)
+    })
 }
 
 #[cfg(test)]
@@ -1672,150 +751,25 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_is_well_formed() {
-        let (cells, report) = bench_report(&[0.3], &[1.0], &[40, 80], 2);
-        assert_eq!(report.cells, cells.len());
-        assert_eq!(report.cells, 2);
-        assert!(report.total_seconds > 0.0);
-        assert!(report.pair_seconds_min <= report.pair_seconds_max);
+    fn scenario_grid_shows_withholding_biting() {
+        // Both scenarios give the adversary stake, so neither has perfect
+        // chain quality; only withholding rolls honest chains back at
+        // depth and violates settlement at least as often.
+        let rows = scenario_grid(400, 7, &[5, 20], 2);
+        assert_eq!(rows.len(), multihonest_scenario::scenario_library(1).len());
+        let honest = rows.iter().find(|r| r.name == "honest").unwrap();
+        let wh = rows
+            .iter()
+            .find(|r| r.name == "private-withholding")
+            .unwrap();
+        assert!(wh.chain_quality < 1.0);
+        assert!(wh.rollbacks > 0);
         assert!(
-            (report.probability_checksum - cells.iter().map(|c| c.probability).sum::<f64>()).abs()
-                < 1e-15
+            wh.violating_anchors[1] >= honest.violating_anchors[1],
+            "withholding must violate at least as much as honest play: {:?} vs {:?}",
+            wh.violating_anchors,
+            honest.violating_anchors
         );
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        assert!(json.contains("\"schema\""));
-        assert!(json.contains("multihonest-bench-margin/v1"));
-        assert!(json.contains("\"total_seconds\""));
-    }
-
-    #[test]
-    fn sim_bench_report_is_well_formed_and_indexed_sweep_wins() {
-        // A reduced grid of the acceptance-criterion sweep: the batch API
-        // must reproduce the oracle's violating-slot sets bit-identically
-        // (asserted inside sim_bench_report) and be ≥ 10× faster. The real
-        // margin is orders of magnitude, but the indexed sweep only takes
-        // microseconds, so a scheduler preemption of this one measurement
-        // could sink the ratio — take the best of three runs.
-        let cfg = sim_bench_config(600);
-        let report = (0..3)
-            .map(|_| sim_bench_report(&cfg, 9, &[5, 10, 20, 40]))
-            .max_by(|a, b| {
-                a.sweep_speedup
-                    .partial_cmp(&b.sweep_speedup)
-                    .expect("finite speedups")
-            })
-            .expect("three runs");
-        assert_eq!(report.schema, "multihonest-bench-sim/v1");
-        assert_eq!(report.ks, vec![5, 10, 20, 40]);
-        assert_eq!(report.violating_slots_per_k.len(), 4);
-        // Monotone: a larger k can only settle more anchors.
-        for pair in report.violating_slots_per_k.windows(2) {
-            assert!(pair[0] >= pair[1], "{:?}", report.violating_slots_per_k);
-        }
-        assert!(
-            report.sweep_speedup >= 10.0,
-            "indexed sweep only {}x faster than the oracle",
-            report.sweep_speedup
-        );
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        assert!(json.contains("multihonest-bench-sim/v1"));
-        assert!(json.contains("\"sweep_speedup\""));
-    }
-
-    #[test]
-    fn astar_bench_report_is_well_formed_and_engine_wins() {
-        // A reduced grid of the acceptance sweep: bit-identical forks are
-        // asserted inside astar_bench_report, as is ρ agreement on every
-        // Monte-Carlo trial. The committed BENCH_astar.json carries the
-        // ≥ 10× headline at n = 800; at this reduced n the margin is
-        // smaller and the box may be noisy, so assert a conservative
-        // floor on the best of three runs.
-        let report = (0..3)
-            .map(|_| astar_bench_report(&[100, 400], &[400], 500, 6, 2, 4))
-            .max_by(|a, b| {
-                a.speedup_at_largest_oracle_n
-                    .partial_cmp(&b.speedup_at_largest_oracle_n)
-                    .expect("finite speedups")
-            })
-            .expect("three runs");
-        assert_eq!(report.schema, "multihonest-bench-astar/v1");
-        assert_eq!(report.ns, vec![100, 400]);
-        assert_eq!(report.engine_seconds.len(), 2);
-        assert_eq!(report.vertices.len(), 2);
-        assert_eq!(report.oracle_seconds.len(), 1);
-        assert_eq!(report.speedups.len(), 1);
-        assert_eq!(report.mc_rho_agreements, report.mc_trials);
-        assert!(
-            report.speedup_at_largest_oracle_n >= 2.0,
-            "engine only {}x faster than the oracle at n = 400",
-            report.speedup_at_largest_oracle_n
-        );
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        assert!(json.contains("multihonest-bench-astar/v1"));
-        assert!(json.contains("\"speedup_at_largest_oracle_n\""));
-    }
-
-    #[test]
-    fn faults_bench_report_is_well_formed_and_conservative() {
-        // A reduced version of the committed BENCH_faults.json run: the
-        // dual-engine ledger equality and the Some(true) verdicts are
-        // asserted inside the builder.
-        let report = faults_bench_report(160, 4, &[8, 24], 2, 5);
-        assert_eq!(report.schema, "multihonest-bench-faults/v1");
-        assert_eq!(report.scenarios.len(), 7);
-        assert_eq!(report.scenario_seconds.len(), 7);
-        assert!(report.all_conservative);
-        assert_eq!(report.equivalence_checked, 7);
-        assert!(
-            report.equivalence_deferred > 0,
-            "the pre-check replays must exercise the fault path"
-        );
-        assert!(report.scenarios.iter().all(|s| s.dropped == 0));
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        assert!(json.contains("multihonest-bench-faults/v1"));
-        assert!(json.contains("\"all_conservative\": true"));
-        assert!(json.contains("partition-withholding"));
-    }
-
-    #[test]
-    fn forkflow_bench_report_is_well_formed_and_streaming_wins() {
-        // A reduced version of the committed BENCH_forkflow.json run: the
-        // fork equality, verdict parity and per-step µ_x equivalence are
-        // all asserted inside the builder. The committed baseline carries
-        // the ≥ 10× headline at 10⁵ slots; at this reduced horizon the
-        // margin is smaller and the box may be noisy, so assert a
-        // conservative floor on the best of three runs.
-        let report = (0..3)
-            .map(|_| forkflow_bench_report(6_000, 3_000, 150, 7))
-            .max_by(|a, b| {
-                a.validation_speedup
-                    .partial_cmp(&b.validation_speedup)
-                    .expect("finite speedups")
-            })
-            .expect("three runs");
-        assert_eq!(report.schema, "multihonest-bench-forkflow/v1");
-        assert!(report.streaming_valid);
-        assert!(report.streaming_vertices > 0);
-        assert!(
-            report.streaming_margin_events > 0,
-            "the margin channel must fire"
-        );
-        assert_eq!(report.mu_cuts, vec![0, 37, 75]);
-        assert_eq!(report.mu_checks, 150 * 3);
-        assert!(
-            report.validation_speedup >= 2.0,
-            "streaming validation only {}x faster than replay-then-validate",
-            report.validation_speedup
-        );
-        assert!(
-            report.mu_speedup >= 2.0,
-            "tracked µ_x only {}x faster than the per-step rebuild",
-            report.mu_speedup
-        );
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
-        assert!(json.contains("multihonest-bench-forkflow/v1"));
-        assert!(json.contains("\"validation_speedup\""));
-        assert!(json.contains("\"streaming_valid\": true"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn arb_token() -> impl Strategy<Value = String> {
         Just("--heartbeat".to_string()),
         Just("--quick".to_string()),
         Just("--json".to_string()),
-        Just("bench-report".to_string()),
+        Just("horizon".to_string()),
         Just("abc".to_string()),
         Just("out.json".to_string()),
         Just("trace.json".to_string()),
@@ -147,12 +147,13 @@ fn horizon_rejects_zero_counts() {
     }
 }
 
-/// `table1`, `experiments`, `astar`, `settlement`, `scenario`, `sweep`,
-/// `faults` and `forkflow` reject unknown flags, unknown positional
-/// arguments and zero counts before doing any work, and `table1`,
-/// `astar` and `settlement` reject `--out` outside `bench-report` (the
-/// only mode that writes a file): exit 2 with an error naming the
-/// offending token, then the usage line, and never a panic.
+/// `table1`, `experiments`, `astar`, `settlement`, `scenario`, `sweep` and
+/// `faults` reject unknown flags, unknown positional arguments and zero
+/// counts before doing any work; `scenario` rejects the `horizon`-only
+/// flags outside `horizon` and the grid-only flags inside it, and `sweep`
+/// rejects `--stop-after-cells` without `--checkpoint`: exit 2 with an
+/// error naming the offending token, then the usage line, and never a
+/// panic.
 #[test]
 fn table1_and_experiments_reject_malformed_command_lines() {
     let table1 = env!("CARGO_BIN_EXE_table1");
@@ -162,7 +163,6 @@ fn table1_and_experiments_reject_malformed_command_lines() {
     let scenario = env!("CARGO_BIN_EXE_scenario");
     let sweep = env!("CARGO_BIN_EXE_sweep");
     let faults = env!("CARGO_BIN_EXE_faults");
-    let forkflow = env!("CARGO_BIN_EXE_forkflow");
     for (bin, args, error) in [
         (table1, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -178,7 +178,12 @@ fn table1_and_experiments_reject_malformed_command_lines() {
         (
             table1,
             &["--quick", "--out", "t.json"][..],
-            "--out is only valid with bench-report",
+            "unknown flag '--out'",
+        ),
+        (
+            table1,
+            &["bench-report", "--quick"][..],
+            "unknown argument 'bench-report'",
         ),
         (experiments, &["--bogus"][..], "unknown flag '--bogus'"),
         (
@@ -199,29 +204,29 @@ fn table1_and_experiments_reject_malformed_command_lines() {
         ),
         (
             astar,
-            &["--quick", "bench-reprot"][..],
-            "unknown argument 'bench-reprot'",
+            &["--quick", "bench-report"][..],
+            "unknown argument 'bench-report'",
         ),
         (
             astar,
             &["--quick", "--out", "a.json"][..],
-            "--out is only valid with bench-report",
+            "unknown flag '--out'",
         ),
         (settlement, &["--bogus"][..], "unknown flag '--bogus'"),
         (settlement, &["--quik"][..], "unknown flag '--quik'"),
         (
             settlement,
-            &["--quick", "bench-reprot"][..],
-            "unknown argument 'bench-reprot'",
+            &["--quick", "bench-report"][..],
+            "unknown argument 'bench-report'",
         ),
         (
             settlement,
             &["--quick", "--out", "s.json"][..],
-            "--out is only valid with bench-report",
+            "unknown flag '--out'",
         ),
         (
             scenario,
-            &["bench-report", "--profile"][..],
+            &["--quick", "--profile"][..],
             "unknown flag '--profile'",
         ),
         (
@@ -231,14 +236,67 @@ fn table1_and_experiments_reject_malformed_command_lines() {
         ),
         (
             scenario,
-            &["bench-report", "--quick", "--threads", "0"][..],
+            &["--quick", "--threads", "0"][..],
             "--threads must be at least 1, found 0",
+        ),
+        (
+            scenario,
+            &["bench-report", "--quick"][..],
+            "unknown argument 'bench-report'",
+        ),
+        (
+            scenario,
+            &["--quick", "--out", "g.json"][..],
+            "unknown flag '--out'",
+        ),
+        (
+            scenario,
+            &[
+                "--quick",
+                "--slots",
+                "1000",
+                "--wal",
+                "x.wal",
+                "--segment",
+                "5",
+            ][..],
+            "--slots is only valid with horizon",
+        ),
+        (
+            scenario,
+            &["--wal", "x.wal"][..],
+            "--wal is only valid with horizon",
+        ),
+        (
+            scenario,
+            &["--quick", "--heartbeat", "1"][..],
+            "--heartbeat is only valid with horizon",
+        ),
+        (
+            scenario,
+            &["horizon", "--quick", "--threads", "4"][..],
+            "--quick is only valid with the scenario grid",
+        ),
+        (
+            scenario,
+            &["horizon", "--threads", "4"][..],
+            "--threads is only valid with the scenario grid",
         ),
         (sweep, &["--quick", "bogus"][..], "unknown argument 'bogus'"),
         (
             sweep,
             &["--quick", "--threads", "0"][..],
             "--threads must be at least 1, found 0",
+        ),
+        (
+            sweep,
+            &["bench-report", "--quick"][..],
+            "unknown argument 'bench-report'",
+        ),
+        (
+            sweep,
+            &["--quick", "--stop-after-cells", "2"][..],
+            "--stop-after-cells is only valid with --checkpoint",
         ),
         (
             faults,
@@ -256,14 +314,9 @@ fn table1_and_experiments_reject_malformed_command_lines() {
             "--trials must be at least 1, found 0",
         ),
         (
-            forkflow,
-            &["--quick", "bogus"][..],
-            "unknown argument 'bogus'",
-        ),
-        (
-            forkflow,
-            &["--quick", "--slots", "0"][..],
-            "--slots must be at least 1, found 0",
+            faults,
+            &["--quick", "--out", "f.json"][..],
+            "unknown flag '--out'",
         ),
     ] {
         let out = std::process::Command::new(bin)
@@ -278,5 +331,63 @@ fn table1_and_experiments_reject_malformed_command_lines() {
         );
         assert!(!stderr.contains("panicked"), "{stderr}");
         assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
+    }
+}
+
+/// Runs `bin` with `args`, asserting exit 0, and returns its stdout.
+fn stdout_of(bin: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .expect("run the binary");
+    assert!(
+        out.status.success(),
+        "{bin} {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+/// The science tables run end to end in their default mode: each binary
+/// exits 0 and prints its header, and the `scenario` grid and the
+/// `faults` conservatism table are byte-identical at one and two
+/// worker threads.
+#[test]
+fn science_tables_print_and_are_thread_count_invariant() {
+    for (bin, header) in [
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            "Exact probabilities of k-settlement violations (paper Table 1)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_experiments"),
+            "== E6: exact settlement probability vs Theorem-1 machinery ==",
+        ),
+        (
+            env!("CARGO_BIN_EXE_astar"),
+            "== canonical-fork Monte Carlo (",
+        ),
+        (
+            env!("CARGO_BIN_EXE_settlement"),
+            "== observed settlement violations (600 slots,",
+        ),
+        (
+            env!("CARGO_BIN_EXE_scenario"),
+            "== scenario grid (20000 slots per row, seed 9) ==",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faults"),
+            "== Δ′-model conservatism (160 slots, 8 trials per scenario,",
+        ),
+    ] {
+        let stdout = stdout_of(bin, &["--quick"]);
+        assert!(stdout.starts_with(header), "{bin}: {stdout}");
+    }
+    for bin in [env!("CARGO_BIN_EXE_scenario"), env!("CARGO_BIN_EXE_faults")] {
+        assert_eq!(
+            stdout_of(bin, &["--quick", "--threads", "1"]),
+            stdout_of(bin, &["--quick", "--threads", "2"]),
+            "{bin}"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Programmatic reconstructions of the paper's figures.
 //!
 //! These builders regenerate, vertex for vertex, the illustrative forks of
-//! the paper (experiments E2–E4 of DESIGN.md). Their structure is asserted
-//! in tests, and [`crate::dot::to_dot`] renders them for visual comparison
-//! with the published diagrams.
+//! the paper (experiments E2–E4 of the index in README.md, "Experiments").
+//! Their structure is asserted in tests, and [`crate::dot::to_dot`]
+//! renders them for visual comparison with the published diagrams.
 
 use multihonest_chars::CharString;
 

@@ -26,8 +26,8 @@
 //! axiom, because the clamp is engine-side. Identical strategy decisions
 //! over identical schedules therefore give identical block arenas,
 //! delivery orders, tip trajectories and rollback records — the
-//! bit-identical-trace guarantee that `tests/scenario_engine.rs` and the
-//! committed `BENCH_scenario.json` both enforce against the reference.
+//! bit-identical-trace guarantee that `tests/scenario_engine.rs` enforces
+//! against the reference.
 
 use multihonest_sim::consistency::{DivergenceFold, DivergenceIndex};
 use multihonest_sim::fault::{DegradationLedger, DeliveryMeta, FaultPlan, FaultRuntime};

@@ -26,9 +26,9 @@
 //! | post-hoc index build over retained traces | online [`DivergenceFold`](multihonest_sim::DivergenceFold) + streaming [`MetricsSink`](multihonest_sim::MetricsSink) |
 //!
 //! A 10⁶-slot withholding execution completes in about 0.11 s (9.0
-//! Mslots/s on a 2-vCPU Xeon VM; `scenario bench-report` re-measures it),
-//! with `O(1)` amortized work per delivery and zero steady-state
-//! allocation in the slot loop.
+//! Mslots/s on a 2-vCPU Xeon VM; the benchmark's `horizon` workload
+//! measures the same shape over 5·10⁷ slots), with `O(1)` amortized work
+//! per delivery and zero steady-state allocation in the slot loop.
 //!
 //! ## Equivalence, not divergence
 //!
@@ -38,8 +38,8 @@
 //! orders, and apply the same longest-chain/tie-break rules — so their
 //! block arenas, tip trajectories, rollback records and settlement
 //! indices are **bit-identical**. `tests/scenario_engine.rs` enforces
-//! this exhaustively over a strategy × Δ × seed grid and by proptest; the
-//! scenario bench report re-asserts it before publishing any timing.
+//! this exhaustively over a strategy × Δ × seed grid, on every library
+//! scenario, and by proptest.
 //!
 //! ## The Δ-window clamp invariant
 //!
@@ -59,7 +59,6 @@ pub mod batch;
 pub mod engine;
 pub mod horizon;
 pub mod pipeline;
-pub mod report;
 pub mod ring;
 pub mod scenario;
 pub mod schedule;
@@ -72,7 +71,6 @@ pub use crate::pipeline::{
     run_streaming_validated, run_streaming_validated_faults_in, PipelineOutput, ValidatedExecution,
     HANDOFF_SLOTS,
 };
-pub use crate::report::{scenario_bench_report, ScenarioBenchReport, ScenarioRow};
 pub use crate::ring::DeliveryRing;
 pub use crate::scenario::{
     fault_library, scenario_library, FaultScenario, LaggedWithholding, NetworkSchedule,

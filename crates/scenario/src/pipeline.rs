@@ -30,13 +30,12 @@
 //! blocks the kernel: a failed hand-off stops further hand-offs, and the
 //! join at the end reports the panic.
 //!
-//! The payoff is the acceptance criterion of the streaming refactor: a
-//! 10⁶-slot columnar execution leaves [`run_streaming_validated`] with
-//! its fork built, its (F1)–(F3)+(F4Δ) verdict decided and its margin
-//! trajectory streamed, in one pass, with **no** reference-engine replay
-//! and no post-hoc `validate_delta` sweep over the finished fork — and,
-//! with the fold off the kernel thread, at little more than the plain
-//! kernel's wall time.
+//! The payoff: a 10⁶-slot columnar execution leaves
+//! [`run_streaming_validated`] with its fork built, its (F1)–(F3)+(F4Δ)
+//! verdict decided and its margin trajectory streamed, in one pass, with
+//! **no** reference-engine replay and no post-hoc `validate_delta` sweep
+//! over the finished fork — and, with the fold off the kernel thread, at
+//! little more than the plain kernel's wall time.
 //!
 //! Two invariants make the hand-off cheap:
 //!

@@ -459,8 +459,8 @@ impl Simulation {
     /// The naive per-query scan over observation slots and tip pairs,
     /// retained verbatim (modulo the unified `t ≥ slot + k` window and
     /// the slot-0 guard) as the equivalence oracle for the indexed path.
-    /// Tests and the `bench-report` speedup measurement call this; all
-    /// other consumers should use [`Simulation::settlement_violation`].
+    /// Only tests call this; all other consumers should use
+    /// [`Simulation::settlement_violation`].
     #[doc(hidden)]
     pub fn settlement_violation_oracle(&self, slot: usize, k: usize) -> bool {
         if slot == 0 {

@@ -4,8 +4,8 @@
 //! integer [`CellAggregate`]s — it carries no timing, no thread count,
 //! no timestamps — so two runs of the same spec render byte-identical
 //! reports whatever their execution history was (1 vs 8 threads,
-//! straight vs interrupt/resume). Timing lives one layer up, in the
-//! bench wrapper (`BENCH_sweep.json`).
+//! straight vs interrupt/resume). Timing lives in the benchmark's
+//! `campaign` workload (`perfbench/`).
 //!
 //! Per `(cell, k)` the report carries the empirical violation frequency
 //! with a 95% Wilson interval, the mean number of violating anchor
