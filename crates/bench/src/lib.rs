@@ -651,7 +651,8 @@ pub struct ScenarioRow {
     pub chain_quality: f64,
     /// Recorded honest rollbacks.
     pub rollbacks: usize,
-    /// Largest observed settlement lag (`None` when no anchor moved).
+    /// Largest observed settlement lag (`None` when no divergence was
+    /// ever observed).
     pub max_settlement_lag: Option<usize>,
     /// Violating anchors at each of the grid's `ks`.
     pub violating_anchors: Vec<usize>,
