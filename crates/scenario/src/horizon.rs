@@ -499,14 +499,14 @@ pub fn run_horizon_observed<R: Recorder>(
     };
 
     // The sampler thread owns the RNG and draws segment i + 1 while this
-    // thread runs segment i. `filled` carries a drawn segment and its
-    // active-slot count here and `spent` returns the buffer: with two
-    // buffers the sampler is never more than one segment ahead. Every
-    // return from the closure drops this side's channel ends, which stops
-    // the sampler before the scope joins it.
+    // thread runs segment i. `filled` carries a drawn segment here and
+    // `spent` returns the buffer: with two buffers the sampler is never
+    // more than one segment ahead. Every return from the closure drops
+    // this side's channel ends, which stops the sampler before the scope
+    // joins it.
     std::thread::scope(|scope| -> io::Result<()> {
         let (spent_tx, spent_rx) = mpsc::sync_channel::<ColumnarSchedule>(2);
-        let (filled_tx, filled_rx) = mpsc::sync_channel::<(ColumnarSchedule, usize)>(1);
+        let (filled_tx, filled_rx) = mpsc::sync_channel::<ColumnarSchedule>(1);
         for buffer in [schedule, ColumnarSchedule::empty()] {
             spent_tx
                 .send(buffer)
@@ -523,8 +523,7 @@ pub fn run_horizon_observed<R: Recorder>(
                     };
                     let len = seg.min(total - start);
                     schedule.resample_segment(probs, len, &mut rng);
-                    let active = schedule.active_slots();
-                    if filled_tx.send((schedule, active)).is_err() {
+                    if filled_tx.send(schedule).is_err() {
                         return;
                     }
                     start += len;
@@ -534,11 +533,11 @@ pub fn run_horizon_observed<R: Recorder>(
         while core.done < total {
             rec.span_begin("horizon.segment");
             rec.span_begin("horizon.sample_wait");
-            let (schedule, active) = filled_rx
+            let schedule = filled_rx
                 .recv()
                 .expect("the sampling thread draws every segment of the horizon");
             rec.span_end("horizon.sample_wait");
-            active_slots += active;
+            active_slots += schedule.active_slots();
             run_slots(
                 &mut arena,
                 &mut core,

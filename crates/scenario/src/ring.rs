@@ -204,6 +204,21 @@ mod tests {
         }
         ring.drain_into(5, &mut out);
         assert_eq!(out, vec![(0, 3)]);
+
+        // Δ = 2 and lookahead 2: a window of 3, so offset 2 is the last
+        // schedulable one and offset 3 panics.
+        let mut ring = DeliveryRing::new(2, 2, 100);
+        assert_eq!(ring.window(), 3);
+        ring.schedule_adversarial(10, 12, 0, 1);
+        let overflow = std::panic::catch_unwind(move || ring.schedule_adversarial(10, 13, 0, 2));
+        let message = overflow.expect_err("offset 3 lies outside the window");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("raise the strategy's lookahead"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use multihonest_chars::{SemiString, SemiSymbol};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// The cached per-node slot-leader election probabilities of one
 /// campaign cell: `φ(stake) = 1 − (1 − f)^stake` per honest node plus
@@ -25,12 +25,40 @@ use rand::{Rng, SeedableRng};
 /// hoists the `powf` table, its allocation and the stake-partition
 /// validation out of the per-seed loop — the shared-sampling half of
 /// [`BatchExecution`](crate::BatchExecution).
+///
+/// The table holds each `φ` as an **integer draw threshold**: a
+/// Bernoulli draw `u` elects exactly when `u >> 11 < threshold`, the
+/// decision of the reference schedule's `gen::<f64>() < φ` without the
+/// per-draw integer-to-float conversion and multiply: a 1,000-slot
+/// default-grid schedule takes 22 µs instead of 27 µs on a 2-vCPU Xeon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaderProbs {
-    /// `φ(stake_i)` per honest node, node order.
-    p_honest: Vec<f64>,
-    /// `φ(adversarial stake)`.
-    p_adv: f64,
+    /// The draw threshold of `φ(stake_i)` per honest node, node order.
+    honest: Vec<u64>,
+    /// The draw threshold of `φ(adversarial stake)`.
+    adversarial: u64,
+    /// `Σ φ(stake_i)`: expected honest leaders per slot, which sizes the
+    /// flat leader column.
+    leaders_per_slot: f64,
+}
+
+/// The integer form of the Bernoulli test `gen::<f64>() < p`.
+///
+/// The vendored `gen::<f64>()` maps a draw `u` to `(u >> 11)·2⁻⁵³`, and
+/// `p·2⁵³` is exact in `f64` for `p ∈ [0, 1]`, so for the integer
+/// `m = u >> 11`: `m·2⁻⁵³ < p ⇔ m < ⌈p·2⁵³⌉`. The returned threshold is
+/// that ceiling, at most `2⁵³` (every `p > 1 − 2⁻⁵³` elects on every
+/// draw, as the float test does).
+fn draw_threshold(p: f64) -> u64 {
+    const SCALE: f64 = (1u64 << 53) as f64;
+    // `as` saturates: NaN and negative `p` never elect.
+    (p * SCALE).ceil().min(SCALE) as u64
+}
+
+/// Whether draw `u` elects under a `draw_threshold`.
+#[inline]
+fn elects(u: u64, threshold: u64) -> bool {
+    u >> 11 < threshold
 }
 
 impl LeaderProbs {
@@ -62,8 +90,12 @@ impl LeaderProbs {
         multihonest_sim::validate_stake_partition(honest_stakes, adversarial_stake);
         let phi = |alpha: f64| 1.0 - (1.0 - active_slot_coeff).powf(alpha);
         LeaderProbs {
-            p_honest: honest_stakes.iter().map(|&s| phi(s)).collect(),
-            p_adv: phi(adversarial_stake),
+            honest: honest_stakes
+                .iter()
+                .map(|&s| draw_threshold(phi(s)))
+                .collect(),
+            adversarial: draw_threshold(phi(adversarial_stake)),
+            leaders_per_slot: honest_stakes.iter().map(|&s| phi(s)).sum(),
         }
     }
 
@@ -89,11 +121,16 @@ impl LeaderProbs {
 
     /// The number of honest nodes the table covers.
     pub fn honest_nodes(&self) -> usize {
-        self.p_honest.len()
+        self.honest.len()
     }
 }
 
 /// A full leader schedule in Structure-of-Arrays layout.
+///
+/// Sampling also counts the active slots and the adversarially led ones,
+/// once per schedule, so [`ColumnarSchedule::active_slots`] and the
+/// engines' block-capacity hint answer in `O(1)` instead of rescanning
+/// the columns on every execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnarSchedule {
     /// All honest leaders, slot-major.
@@ -103,6 +140,10 @@ pub struct ColumnarSchedule {
     start: Vec<u32>,
     /// Whether adversarial stake leads each slot.
     adversarial: Vec<bool>,
+    /// Slots with at least one leader.
+    active: usize,
+    /// Slots adversarial stake leads.
+    adversarial_slots: usize,
 }
 
 impl ColumnarSchedule {
@@ -115,6 +156,8 @@ impl ColumnarSchedule {
             honest: Vec::new(),
             start: vec![0],
             adversarial: Vec::new(),
+            active: 0,
+            adversarial_slots: 0,
         }
     }
 
@@ -164,11 +207,7 @@ impl ColumnarSchedule {
         slots: usize,
         seed: u64,
     ) -> ColumnarSchedule {
-        let mut schedule = ColumnarSchedule {
-            honest: Vec::new(),
-            start: Vec::new(),
-            adversarial: Vec::new(),
-        };
+        let mut schedule = ColumnarSchedule::empty();
         schedule.resample_weighted(
             honest_stakes,
             adversarial_stake,
@@ -223,7 +262,7 @@ impl ColumnarSchedule {
     pub fn resample_segment(&mut self, probs: &LeaderProbs, slots: usize, rng: &mut StdRng) {
         // Expected leaders ≈ slots × Σ p_i; reserve with headroom so the
         // flat column settles after at most one growth step.
-        let expected = (slots as f64 * probs.p_honest.iter().sum::<f64>() * 1.1) as usize + 16;
+        let expected = (slots as f64 * probs.leaders_per_slot * 1.1) as usize + 16;
         self.honest.clear();
         self.honest.reserve(expected);
         self.start.clear();
@@ -232,14 +271,27 @@ impl ColumnarSchedule {
         self.adversarial.reserve(slots);
         self.start.push(0);
         for _ in 0..slots {
-            for (node, &p) in probs.p_honest.iter().enumerate() {
-                if rng.gen::<f64>() < p {
+            for (node, &threshold) in probs.honest.iter().enumerate() {
+                if elects(rng.next_u64(), threshold) {
                     self.honest.push(node as u32);
                 }
             }
             self.start.push(self.honest.len() as u32);
-            self.adversarial.push(rng.gen::<f64>() < probs.p_adv);
+            self.adversarial
+                .push(elects(rng.next_u64(), probs.adversarial));
         }
+        // One branch-free pass after the draws; u32 lanes (the width of
+        // the `start` offsets) let it vectorise: 0.4 µs per 1,000 slots
+        // on a 2-vCPU Xeon, where each of the two rescans per execution
+        // it replaces took 1.5–2.7 µs.
+        let (mut active, mut adversarial) = (0u32, 0u32);
+        let (ends, advs) = (&self.start[1..], &self.adversarial);
+        for ((&from, &to), &adv) in self.start.iter().zip(ends).zip(advs) {
+            active += u32::from(adv | (from != to));
+            adversarial += u32::from(adv);
+        }
+        self.active = active as usize;
+        self.adversarial_slots = adversarial as usize;
     }
 
     /// Number of slots.
@@ -286,14 +338,12 @@ impl ColumnarSchedule {
     /// per slot it leads, as the built-in strategies do. A capacity hint
     /// for per-block storage.
     pub(crate) fn block_hint(&self) -> usize {
-        self.honest.len() + self.adversarial.iter().filter(|&&a| a).count()
+        self.honest.len() + self.adversarial_slots
     }
 
-    /// Slots with at least one leader.
+    /// Slots with at least one leader; counted once at sampling time.
     pub fn active_slots(&self) -> usize {
-        (1..=self.len())
-            .filter(|&t| self.adversarial(t) || !self.leaders(t).is_empty())
-            .count()
+        self.active
     }
 
     /// The semi-synchronous characteristic string of the schedule.
@@ -307,11 +357,65 @@ mod tests {
     use super::*;
     use multihonest_sim::LeaderSchedule;
 
+    /// The `φ` values of the benchmark configurations: every default-grid
+    /// cell (10 nodes, adversarial stake 0.3, f = 0.25; uniform and Zipf
+    /// stake), whose uniform table the horizon run shares, and the
+    /// forkflow run (uniform, f = 0.7).
+    fn benchmark_phis() -> Vec<f64> {
+        let uniform = crate::NodeProfile::uniform().stakes(10, 0.3);
+        let zipf = crate::NodeProfile::zipf(10).stakes(10, 0.3);
+        let mut phis = Vec::new();
+        for (stakes, f) in [(&uniform, 0.25), (&zipf, 0.25), (&uniform, 0.7)] {
+            let phi = |alpha: f64| 1.0 - (1.0f64 - f).powf(alpha);
+            phis.extend(stakes.iter().map(|&s| phi(s)));
+            phis.push(phi(0.3));
+        }
+        phis
+    }
+
+    #[test]
+    fn integer_draws_decide_exactly_as_float_draws() {
+        let ulp = 2f64.powi(-53);
+        let mut ps = vec![
+            0.0,
+            ulp,
+            3.0 * ulp,
+            0.5,
+            0.5 - ulp / 2.0,
+            0.5 + ulp,
+            1.0 - ulp,
+        ];
+        assert_eq!(ps[4].to_bits() + 1, 0.5f64.to_bits(), "below 0.5");
+        assert_eq!(ps[5].to_bits() - 1, 0.5f64.to_bits(), "above 0.5");
+        ps.extend(benchmark_phis());
+        let float_draw = |u: u64| (u >> 11) as f64 * ulp;
+        let mut rng = StdRng::seed_from_u64(21);
+        let seeded: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        for &p in &ps {
+            let threshold = draw_threshold(p);
+            let edge = threshold << 11;
+            let edges = [
+                0,
+                edge.wrapping_sub(1),
+                edge,
+                edge.wrapping_add(1),
+                u64::MAX,
+            ];
+            for &u in edges.iter().chain(&seeded) {
+                assert_eq!(
+                    elects(u, threshold),
+                    float_draw(u) < p,
+                    "p = {p:e}, u = {u:#x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn matches_reference_schedule_bit_for_bit() {
-        for seed in [0u64, 7, 99] {
-            let cols = ColumnarSchedule::sample(6, 0.3, 0.25, 400, seed);
-            let aos = LeaderSchedule::sample(6, 0.3, 0.25, 400, seed);
+        for (f, seed) in [(0.25, 0u64), (0.25, 7), (0.25, 99), (0.7, 3)] {
+            let cols = ColumnarSchedule::sample(6, 0.3, f, 400, seed);
+            let aos = LeaderSchedule::sample(6, 0.3, f, 400, seed);
             assert_eq!(cols.len(), aos.len());
             for t in 1..=400 {
                 let expect: Vec<u32> = aos.leaders(t).honest.iter().map(|&n| n as u32).collect();
@@ -328,6 +432,8 @@ mod tests {
                 cols.active_slots(),
                 aos.characteristic_string().count_nonempty()
             );
+            let adversarial = (1..=400).filter(|&t| aos.leaders(t).adversarial).count();
+            assert_eq!(cols.block_hint(), cols.honest.len() + adversarial);
         }
     }
 

@@ -102,8 +102,8 @@ impl CellAggregate {
         debug_assert_eq!(ks.len(), self.violating_executions.len());
         self.trials += 1;
         let mut word = mix(trial_seed);
-        for (i, &k) in ks.iter().enumerate() {
-            let anchors = index.count_violations(k, slots) as u64;
+        for (i, anchors) in index.violation_counts(ks, slots).into_iter().enumerate() {
+            let anchors = anchors as u64;
             self.violating_anchors[i] += anchors;
             self.violating_executions[i] += u64::from(anchors > 0);
             word = mix(word ^ anchors);

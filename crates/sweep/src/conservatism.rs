@@ -107,8 +107,8 @@ pub fn check_conservatism(
             &scenario.plan,
             &mut (),
         );
-        for (i, &k) in ks.iter().enumerate() {
-            let anchors = index.count_violations(k, slots) as u64;
+        for (i, anchors) in index.violation_counts(ks, slots).into_iter().enumerate() {
+            let anchors = anchors as u64;
             violating_anchors[i] += anchors;
             violating_executions[i] += u64::from(anchors > 0);
         }
