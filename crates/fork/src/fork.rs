@@ -1,7 +1,5 @@
 //! The fork tree itself: vertices, labels, tines, depths, viability.
 
-use std::collections::HashMap;
-
 use multihonest_chars::{CharString, Symbol};
 use multihonest_core::AncestorIndex;
 
@@ -17,6 +15,17 @@ impl VertexId {
     /// The arena index of this vertex.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The vertex at arena index `index` — the inverse of
+    /// [`VertexId::index`], for producers whose own ids are dense in
+    /// insertion order (the columnar store's block ids).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in `u32`.
+    pub fn from_index(index: usize) -> VertexId {
+        VertexId(u32::try_from(index).expect("vertex index fits in u32"))
     }
 }
 
@@ -51,8 +60,8 @@ impl VertexId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fork {
     w: CharString,
-    labels: Vec<usize>,
-    children: Vec<Vec<VertexId>>,
+    /// Slot labels, `u32` like the block stores' slot columns.
+    labels: Vec<u32>,
     /// Shared ancestry layer: parent links, depths and the skew-binary
     /// jump pointers (one per vertex) behind every `O(log n)` ancestry
     /// query below.
@@ -67,7 +76,6 @@ impl Fork {
         Fork {
             w,
             labels: vec![0],
-            children: vec![Vec::new()],
             anc: AncestorIndex::new(),
             height: 0,
         }
@@ -79,7 +87,6 @@ impl Fork {
     pub(crate) fn reserve(&mut self, slots: usize, vertices: usize) {
         self.w.reserve(slots);
         self.labels.reserve(vertices);
-        self.children.reserve(vertices);
         self.anc.reserve(vertices);
     }
 
@@ -129,24 +136,23 @@ impl Fork {
             self.w.len()
         );
         assert!(
-            label > self.labels[parent.index()],
+            label > self.label(parent),
             "label {label} not greater than parent label {}",
-            self.labels[parent.index()]
+            self.label(parent)
         );
         let id = VertexId(self.labels.len() as u32);
-        self.labels.push(label);
-        self.children.push(Vec::new());
+        self.labels
+            .push(u32::try_from(label).expect("label fits in u32"));
         let idx = self.anc.push(parent.index());
         debug_assert_eq!(idx, id.index());
         self.height = self.height.max(self.anc.depth(idx));
-        self.children[parent.index()].push(id);
         id
     }
 
     /// The slot label `ℓ(v)` (0 for the root).
     #[inline]
     pub fn label(&self, v: VertexId) -> usize {
-        self.labels[v.index()]
+        self.labels[v.index()] as usize
     }
 
     /// The parent of `v`, or `None` for the root.
@@ -164,12 +170,6 @@ impl Fork {
         &self.anc
     }
 
-    /// The children of `v`.
-    #[inline]
-    pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[v.index()]
-    }
-
     /// The depth of `v` — equivalently the *length* of the tine ending at
     /// `v` (paper Definition 9).
     #[inline]
@@ -177,17 +177,11 @@ impl Fork {
         self.anc.depth(v.index())
     }
 
-    /// Returns `true` when `v` is a leaf.
-    #[inline]
-    pub fn is_leaf(&self, v: VertexId) -> bool {
-        self.children[v.index()].is_empty()
-    }
-
     /// Returns `true` when `v` is honest: the root, or labelled by an
     /// honest slot of `w`.
     #[inline]
     pub fn is_honest(&self, v: VertexId) -> bool {
-        let l = self.labels[v.index()];
+        let l = self.label(v);
         l == 0 || self.w.get(l).is_honest()
     }
 
@@ -207,8 +201,12 @@ impl Fork {
     /// Returns `true` when the fork is *closed*: every leaf is honest
     /// (paper Definition 12). The trivial fork is closed.
     pub fn is_closed(&self) -> bool {
+        let mut has_child = vec![false; self.vertex_count()];
+        for v in self.vertices().skip(1) {
+            has_child[self.anc.parent(v.index()).expect("non-root")] = true;
+        }
         self.vertices()
-            .all(|v| !self.is_leaf(v) || self.is_honest(v))
+            .all(|v| has_child[v.index()] || self.is_honest(v))
     }
 
     /// All vertices labelled `label`.
@@ -249,7 +247,8 @@ impl Fork {
     pub fn truncate_to_label(&self, v: VertexId, max_label: usize) -> VertexId {
         VertexId(
             self.anc
-                .last_key_at_most(v.index(), max_label, |i| self.labels[i]) as u32,
+                .last_key_at_most(v.index(), max_label, |i| self.labels[i] as usize)
+                as u32,
         )
     }
 
@@ -317,69 +316,69 @@ impl Fork {
         if !self.w.is_prefix_of(other.string()) {
             return false;
         }
-        embed(
-            self,
-            other,
-            VertexId::ROOT,
-            VertexId::ROOT,
-            &mut HashMap::new(),
-        )
+        let pair = ForkPair {
+            small: self,
+            big: other,
+            small_children: self.child_lists(),
+            big_children: other.child_lists(),
+        };
+        pair.embed(VertexId::ROOT, VertexId::ROOT)
     }
-}
 
-/// Attempts to embed the subtree of `small` rooted at `sv` into the subtree
-/// of `big` rooted at `bv` (labels must match; `sv`'s children must map to
-/// distinct children of `bv`).
-fn embed(
-    small: &Fork,
-    big: &Fork,
-    sv: VertexId,
-    bv: VertexId,
-    taken: &mut HashMap<(VertexId, VertexId), bool>,
-) -> bool {
-    if small.label(sv) != big.label(bv) {
-        return false;
-    }
-    if let Some(&hit) = taken.get(&(sv, bv)) {
-        return hit;
-    }
-    let result = match_children(
-        small,
-        big,
-        small.children(sv),
-        big.children(bv),
-        0,
-        &mut vec![false; big.children(bv).len()],
-    );
-    taken.insert((sv, bv), result);
-    result
-}
-
-fn match_children(
-    small: &Fork,
-    big: &Fork,
-    s_children: &[VertexId],
-    b_children: &[VertexId],
-    idx: usize,
-    used: &mut Vec<bool>,
-) -> bool {
-    if idx == s_children.len() {
-        return true;
-    }
-    let sc = s_children[idx];
-    for (j, &bc) in b_children.iter().enumerate() {
-        if used[j] || small.label(sc) != big.label(bc) {
-            continue;
+    /// The children of every vertex, in id order, from the parent links.
+    fn child_lists(&self) -> Vec<Vec<VertexId>> {
+        let mut children = vec![Vec::new(); self.vertex_count()];
+        for v in self.vertices().skip(1) {
+            children[self.anc.parent(v.index()).expect("non-root")].push(v);
         }
-        if embed(small, big, sc, bc, &mut HashMap::new()) {
+        children
+    }
+}
+
+/// The two forks of one [`Fork::is_fork_prefix_of`] query, with their
+/// child lists built once for the embedding search.
+struct ForkPair<'a> {
+    small: &'a Fork,
+    big: &'a Fork,
+    small_children: Vec<Vec<VertexId>>,
+    big_children: Vec<Vec<VertexId>>,
+}
+
+impl ForkPair<'_> {
+    /// Whether the subtree of `small` rooted at `sv` embeds into the
+    /// subtree of `big` rooted at `bv` (labels must match; `sv`'s children
+    /// must map to distinct children of `bv`).
+    fn embed(&self, sv: VertexId, bv: VertexId) -> bool {
+        let b_children = &self.big_children[bv.index()];
+        self.small.label(sv) == self.big.label(bv)
+            && self.match_children(
+                &self.small_children[sv.index()],
+                b_children,
+                &mut vec![false; b_children.len()],
+            )
+    }
+
+    fn match_children(
+        &self,
+        s_children: &[VertexId],
+        b_children: &[VertexId],
+        used: &mut [bool],
+    ) -> bool {
+        let Some((&sc, rest)) = s_children.split_first() else {
+            return true;
+        };
+        for (j, &bc) in b_children.iter().enumerate() {
+            if used[j] || !self.embed(sc, bc) {
+                continue;
+            }
             used[j] = true;
-            if match_children(small, big, s_children, b_children, idx + 1, used) {
+            if self.match_children(rest, b_children, used) {
                 return true;
             }
             used[j] = false;
         }
+        false
     }
-    false
 }
 
 #[cfg(test)]

@@ -90,10 +90,13 @@ pub fn close(fork: &Fork) -> Fork {
     let n = fork.vertex_count();
     let mut keep = vec![false; n];
     // Process in reverse insertion order: children always come after
-    // parents, so a reverse scan sees children first.
-    for v in fork.vertices().collect::<Vec<_>>().into_iter().rev() {
-        let has_kept_child = fork.children(v).iter().any(|c| keep[c.index()]);
-        keep[v.index()] = has_kept_child || fork.is_honest(v);
+    // parents, so a reverse scan settles every child before its parent.
+    for i in (1..n).rev() {
+        let v = VertexId(i as u32);
+        keep[i] |= fork.is_honest(v);
+        if keep[i] {
+            keep[fork.parent(v).expect("non-root").index()] = true;
+        }
     }
     let mut out = Fork::new(fork.string().clone());
     let mut remap = vec![VertexId::ROOT; n];
@@ -229,6 +232,13 @@ mod tests {
                 c.is_fork_prefix_of(&f),
                 "closed sub-fork embeds into original"
             );
+            // Maximal: every vertex with an honest descendant-or-self stays.
+            let honest: Vec<VertexId> = f.vertices().filter(|v| f.is_honest(*v)).collect();
+            let kept = f
+                .vertices()
+                .filter(|&v| honest.iter().any(|&h| f.is_ancestor_or_equal(v, h)))
+                .count();
+            assert_eq!(c.vertex_count(), kept);
         }
     }
 

@@ -14,9 +14,10 @@
 //!   slots — a prefix-maximum and a suffix-minimum of observed honest
 //!   depths — so a violating pair is caught the moment its *later-arriving*
 //!   vertex is observed, regardless of insertion order.
-//! * [`ForkFold`] — the incremental fork builder: owns a [`Fork`], its
-//!   [`SemiString`], and a `StreamValidator`, consuming the same per-slot
-//!   `(symbol, vertices)` event stream the execution engines produce.
+//! * [`ForkFold`] — the incremental fork builder: owns a [`Fork`] and a
+//!   `StreamValidator` (which keeps the [`SemiString`]), consuming the
+//!   same per-slot `(symbol, vertices)` event stream the execution
+//!   engines produce.
 //!   Million-slot columnar runs route through it to get axiom validation
 //!   with no reference-engine replay.
 //!
@@ -172,8 +173,8 @@ fn lowbit(i: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct StreamValidator {
     delta: usize,
-    /// Symbols seen so far, `syms[slot - 1]` for slot `1..=n`.
-    syms: Vec<SemiSymbol>,
+    /// The characteristic string seen so far.
+    syms: SemiString,
     /// Vertices observed per slot, `counts[slot]` (index 0 unused).
     counts: Vec<usize>,
     /// Max honest depth per honest slot, for the `i + Δ < j` check.
@@ -190,7 +191,7 @@ impl StreamValidator {
     pub fn new(delta: usize) -> StreamValidator {
         StreamValidator {
             delta,
-            syms: Vec::new(),
+            syms: SemiString::new(),
             counts: vec![0],
             prefix: PrefixMaxTree::new(),
             suffix: SuffixMinTree::new(),
@@ -228,8 +229,8 @@ impl StreamValidator {
     }
 
     /// The characteristic string observed so far.
-    pub fn characteristic_string(&self) -> SemiString {
-        self.syms.iter().copied().collect()
+    pub fn characteristic_string(&self) -> &SemiString {
+        &self.syms
     }
 
     /// Appends the next slot's symbol.
@@ -259,7 +260,7 @@ impl StreamValidator {
             });
             return;
         }
-        let sym = self.syms[label - 1];
+        let sym = self.syms.get(label);
         debug_assert!(
             !sym.is_empty_slot(),
             "vertex {v:?} labelled with empty slot {label}"
@@ -323,8 +324,7 @@ impl StreamValidator {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        for (i, &sym) in self.syms.iter().enumerate() {
-            let slot = i + 1;
+        for (slot, sym) in self.syms.iter_slots() {
             match sym {
                 SemiSymbol::UniqueHonest if self.counts[slot] != 1 => {
                     return Err(ForkError::UniqueHonestMultiplicity {
@@ -377,7 +377,7 @@ impl StreamedFork {
 #[derive(Debug, Clone)]
 pub struct ForkFold {
     fork: Fork,
-    semi: SemiString,
+    /// Also holds the characteristic string streamed so far.
     validator: StreamValidator,
 }
 
@@ -386,7 +386,6 @@ impl ForkFold {
     pub fn new(delta: usize) -> ForkFold {
         ForkFold {
             fork: Fork::trivial(),
-            semi: SemiString::default(),
             validator: StreamValidator::new(delta),
         }
     }
@@ -400,7 +399,6 @@ impl ForkFold {
     /// so a producer that knows its horizon folds without reallocating.
     pub fn reserve(&mut self, slots: usize, vertices: usize) {
         self.fork.reserve(slots, vertices);
-        self.semi.reserve(slots);
         self.validator.reserve(slots);
     }
 
@@ -411,7 +409,7 @@ impl ForkFold {
 
     /// The characteristic string streamed so far (`⊥` retained).
     pub fn characteristic_string(&self) -> &SemiString {
-        &self.semi
+        self.validator.characteristic_string()
     }
 
     /// Appends the next slot's symbol. Inside the fork's own
@@ -419,7 +417,6 @@ impl ForkFold {
     /// recorded as adversarial (the standard `⊥ → A` coercion — an empty
     /// slot never carries vertices, which the validator enforces).
     pub fn push_symbol(&mut self, s: SemiSymbol) {
-        self.semi.push(s);
         self.fork
             .push_symbol(s.to_symbol().unwrap_or(Symbol::Adversarial));
         self.validator.push_symbol(s);
@@ -429,8 +426,9 @@ impl ForkFold {
     /// validation. Panics if `label` points at an empty slot or outside
     /// the string streamed so far (producer bugs, not adversarial moves).
     pub fn push_vertex(&mut self, parent: VertexId, label: usize) -> VertexId {
+        let semi = self.characteristic_string();
         assert!(
-            label >= 1 && label <= self.semi.len() && !self.semi.get(label).is_empty_slot(),
+            label >= 1 && label <= semi.len() && !semi.get(label).is_empty_slot(),
             "vertex labelled with empty or out-of-range slot {label}"
         );
         let v = self.fork.push_vertex(parent, label);
@@ -449,7 +447,7 @@ impl ForkFold {
         let validation = self.validator.finish();
         StreamedFork {
             fork: self.fork,
-            semi: self.semi,
+            semi: self.validator.syms,
             validation,
         }
     }

@@ -90,9 +90,7 @@ impl SlotContext for ColumnarSlotContext<'_> {
     }
 
     fn mint_adversarial(&mut self, parent: BlockId) -> BlockId {
-        let id = self
-            .store
-            .mint(parent.index() as u32, self.slot, ADVERSARY, false);
+        let id = self.store.mint(parent.index() as u32, self.slot, ADVERSARY);
         BlockId::from_index(id as usize)
     }
 
@@ -441,6 +439,7 @@ pub struct ExecutionArena {
     pub(crate) minted: Vec<BlockId>,
     pub(crate) before: Vec<u32>,
     pub(crate) due: Vec<(u32, u32)>,
+    /// The distinct honest tips of the last observed slot, id-sorted.
     pub(crate) uniq: Vec<u32>,
     /// A full broadcast's tip groups: `(starting tip, final tip, whether
     /// the move rolls back)`.
@@ -469,8 +468,7 @@ impl ExecutionArena {
     }
 
     /// Resets every component for a fresh execution, keeping allocations:
-    /// every node on genesis, and `uniq` mirroring that one distinct tip
-    /// for the trace writer.
+    /// every node on genesis, and `uniq` holding that one distinct tip.
     pub(crate) fn reset(&mut self, config: &SimConfig, lookahead: usize, expected_blocks: usize) {
         let n = config.honest_nodes;
         self.store.reset();
@@ -490,8 +488,8 @@ impl ExecutionArena {
 
     /// Compacts the arena around the **unanimous tip** `root`: the store
     /// resets to a single root block carrying the tip's absolute slot,
-    /// height, issuer and honesty (so minting and height accounting
-    /// continue seamlessly above it), and every node's view plus the
+    /// height and issuer (so minting and height accounting continue
+    /// seamlessly above it), and every node's view plus the
     /// cached `uniq` scratch move to the root's new id 0. The horizon
     /// driver calls this at fully settled points; the required
     /// preconditions — all tips equal `root`, the delivery ring idle —
@@ -503,8 +501,8 @@ impl ExecutionArena {
         );
         debug_assert!(self.ring.is_idle(), "compaction requires an idle ring");
         let (slot, height) = (self.store.slot(root), self.store.height(root));
-        let (issuer, honest) = (self.store.issuer(root), self.store.is_honest(root));
-        self.store.reset_to_root(slot, height, issuer, honest);
+        self.store
+            .reset_to_root(slot, height, self.store.issuer(root));
         self.tips.fill(0);
         self.uniq.clear();
         self.uniq.push(0);
@@ -575,15 +573,11 @@ pub(crate) struct EngineCore<'p> {
     pub(crate) rollbacks: Vec<(u32, u32, u32)>,
     pub(crate) tips_flat: Vec<u32>,
     pub(crate) tips_end: Vec<u32>,
-    /// Distinct-tip count of the cached end-of-slot observation.
-    pub(crate) cached_tips: usize,
-    /// Best height of the cached observation.
+    /// Best height of the cached observation (whose distinct tips are
+    /// the arena's `uniq`).
     pub(crate) cached_height: usize,
     /// Slot divergence of the cached observation.
     pub(crate) cached_div: usize,
-    /// The unanimous tip block behind `cached_tips == 1` — what the
-    /// single-mint fold fast case forks from.
-    pub(crate) cached_tip_block: u32,
 }
 
 impl<'p> EngineCore<'p> {
@@ -613,10 +607,8 @@ impl<'p> EngineCore<'p> {
             rollbacks: Vec::new(),
             tips_flat: Vec::new(),
             tips_end,
-            cached_tips: 1,
             cached_height: 0,
             cached_div: 0,
-            cached_tip_block: 0,
         }
     }
 }
@@ -684,8 +676,8 @@ pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
 ///    ([`DivergenceFold::observe_tips_divergence`]) for the divergence
 ///    and the diverging anchors.
 ///
-/// Every path leaves the observation in `core`'s `cached_tips` /
-/// `cached_height` / `cached_div` (and `uniq`), feeds the fold, and
+/// Every path leaves the observation in the arena's `uniq` and `core`'s
+/// `cached_height` / `cached_div`, feeds the fold, and
 /// falls through to the single epilogue: one `on_slot`, one trace push,
 /// one `hook.on_slot_end`. The paths are therefore invisible to every
 /// observer — bit-identical traces, metrics, fold state and hook
@@ -731,10 +723,8 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
         rollbacks,
         tips_flat,
         tips_end,
-        cached_tips,
         cached_height,
         cached_div,
-        cached_tip_block,
     } = core;
     let keep_trace = *keep_trace;
     let have_faults = !faults.is_empty();
@@ -770,7 +760,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                 }
                 // The fresh block extends the minter's tip and is strictly
                 // taller, so `receive` would adopt it.
-                let b = store.mint(tips[l], slot, leader, true);
+                let b = store.mint(tips[l], slot, leader);
                 tips[l] = b;
                 minted.push(BlockId::from_index(b as usize));
             }
@@ -889,14 +879,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             // meeting at the parent, zero slot divergence, best height
             // one up. Every fold quantity is structural; no sort, no
             // chain walk.
-            if due.is_empty() && minted.len() == 1 && *cached_tips == 1 && n > 1 {
+            if due.is_empty() && minted.len() == 1 && uniq.len() == 1 && n > 1 {
                 let child = minted[0].index() as u32;
-                let parent = *cached_tip_block;
+                let parent = uniq[0];
                 debug_assert_eq!(store.parent(child), Some(parent));
-                uniq.clear();
-                uniq.push(parent);
                 uniq.push(child);
-                *cached_tips = 2;
                 *cached_height += 1;
                 *cached_div = 0;
                 fold.observe_fresh_child(slot, parent, child, slot);
@@ -908,7 +895,6 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             uniq.clear();
             if tips.iter().all(|&t| t == first) {
                 uniq.push(first);
-                *cached_tip_block = first;
                 *cached_height = store.height(first);
             } else {
                 uniq.extend_from_slice(tips);
@@ -917,7 +903,6 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                 *cached_height = uniq.iter().map(|&t| store.height(t)).max().unwrap_or(0);
             }
             *cached_div = fold.observe_tips_divergence(store, slot, uniq);
-            *cached_tips = uniq.len();
         }
         // The one epilogue: every path above left this slot's
         // observation in the caches and `uniq`.
@@ -925,7 +910,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             a: &mut *acc,
             b: &mut *sink,
         }
-        .on_slot(slot, *cached_tips, *cached_height, *cached_div);
+        .on_slot(slot, uniq.len(), *cached_height, *cached_div);
         if keep_trace {
             tips_flat.extend_from_slice(uniq);
             tips_end.push(tips_flat.len() as u32);

@@ -4,7 +4,7 @@
 //! The streaming engine already folds metrics and the divergence index
 //! online, but three pieces of state still grow with the horizon: the
 //! block arena (every block ever minted), the divergence fold's
-//! per-anchor arrays (`O(slots)` eagerly — ≈ 1.6 GB at 10⁸ slots) and
+//! per-anchor array (`O(slots)` eagerly — ≈ 0.8 GB at 10⁸ slots) and
 //! the leader schedule itself. [`run_horizon`] removes all three:
 //!
 //! * the schedule is sampled **per segment** through
@@ -67,6 +67,7 @@ use multihonest_sim::{BlockId, SimConfig};
 use crate::engine::{run_slots, EngineCore, ExecutionArena, ENGINE_KERNEL_VERSION};
 use crate::mix;
 use crate::schedule::{ColumnarSchedule, LeaderProbs};
+use crate::store::ADVERSARY;
 
 /// Tuning and safety knobs of one [`run_horizon`] call.
 #[derive(Debug, Clone)]
@@ -142,7 +143,7 @@ impl Aggregates {
     /// Folds one drained anchor: `latest ≥ s + k` is exactly
     /// `DivergenceIndex::violates(s, k)` for an anchor with a diverging
     /// observation.
-    fn drain(&mut self, s: usize, _earliest: usize, latest: usize) {
+    fn drain(&mut self, s: usize, latest: usize) {
         debug_assert!(latest >= s, "observation precedes its anchor");
         let lag = latest - s;
         self.max_lag = Some(self.max_lag.map_or(lag, |m| m.max(lag)));
@@ -163,6 +164,7 @@ struct WalRecord {
     root_slot: u64,
     root_height: u64,
     root_issuer: u64,
+    /// Always `root_issuer != ADVERSARY`; read only as a cross-check.
     root_honest: u64,
     acc_slots: u64,
     acc_max_div: u64,
@@ -235,6 +237,27 @@ impl WalRecord {
             first: w[15 + nk..15 + 2 * nk].to_vec(),
             strategy: w[15 + 2 * nk + 1..].to_vec(),
         })
+    }
+
+    /// Rejects a record whose root or strategy fields cannot describe a
+    /// compaction point, naming the first bad field; `strategy_words` is
+    /// the length of a fresh strategy's checkpoint state.
+    fn check(&self, strategy_words: usize) -> io::Result<()> {
+        let honest = self.root_issuer != u64::from(ADVERSARY);
+        let checks = [
+            (u32::try_from(self.root_issuer).is_ok(), "root_issuer"),
+            (self.root_honest == u64::from(honest), "root_honest"),
+            (self.root_slot <= self.slot, "root_slot"),
+            (self.root_height <= self.root_slot, "root_height"),
+            (self.strategy.len() == strategy_words, "strategy state"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, field)) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL record has an inconsistent {field}"),
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -382,9 +405,11 @@ impl WalWriter {
 ///
 /// # Errors
 ///
-/// Fails when the WAL exists but belongs to different parameters, on any
-/// WAL I/O error, when [`HorizonOptions::max_live_blocks`] is exceeded,
-/// or when the sampling thread cannot be spawned.
+/// Fails when the WAL exists but belongs to different parameters or its
+/// last intact record cannot describe a compaction point of this run
+/// (`InvalidData`, naming the field), on any WAL I/O error, when
+/// [`HorizonOptions::max_live_blocks`] is exceeded, or when the sampling
+/// thread cannot be spawned.
 ///
 /// # Panics
 ///
@@ -454,6 +479,7 @@ pub fn run_horizon_observed<R: Recorder>(
                     "WAL record does not fit the horizon grid",
                 ));
             }
+            rec.check(strategy.checkpoint_state().len())?;
             // Re-derive the RNG position: replay the schedule sampling
             // of the completed prefix (fixed draws per slot make this
             // exact; no RNG internals ever touch the WAL).
@@ -464,7 +490,6 @@ pub fn run_horizon_observed<R: Recorder>(
                 rec.root_slot as usize,
                 rec.root_height as usize,
                 rec.root_issuer as u32,
-                rec.root_honest != 0,
             );
             strategy.restore_state(&rec.strategy);
             agg.counts.copy_from_slice(&rec.counts);
@@ -582,13 +607,12 @@ pub fn run_horizon_observed<R: Recorder>(
                 {
                     debug_assert_eq!(core.cached_div, 0, "unanimous tips imply zero divergence");
                     rec.span_begin("horizon.compaction");
-                    core.fold.advance_base(done, |s, e, l| agg.drain(s, e, l));
+                    core.fold.advance_base(done, |s, l| agg.drain(s, l));
                     core.fold.rebase_unanimous_root();
                     let (_, blocks, honest) = arena.best_chain();
                     prefix_blocks += blocks;
                     prefix_honest += honest;
                     arena.compact_to_root(tip);
-                    core.cached_tip_block = 0;
                     compactions += 1;
                     rec.span_end("horizon.compaction");
                     rec.counter("horizon.compactions", 1);
@@ -648,7 +672,7 @@ pub fn run_horizon_observed<R: Recorder>(
     // Finish: drain the remaining fold window and walk the in-window
     // chain suffix; the evicted prefix lives in the running counters.
     let EngineCore { fold, acc, .. } = core;
-    fold.finish_windowed(|s, e, l| agg.drain(s, e, l));
+    fold.finish_windowed(|s, l| agg.drain(s, l));
     let (best_tip, blocks, honest) = arena.best_chain();
     let metrics = acc.finish(
         active_slots,
@@ -665,4 +689,111 @@ pub fn run_horizon_observed<R: Recorder>(
         peak_live_blocks: peak_live,
         resumed_at,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use multihonest_sim::{Strategy, TieBreak};
+
+    const SEED: u64 = 11;
+
+    fn config() -> SimConfig {
+        SimConfig {
+            honest_nodes: 5,
+            adversarial_stake: 0.25,
+            active_slot_coeff: 0.3,
+            delta: 2,
+            slots: 40_000,
+            tie_break: TieBreak::AdversarialOrder,
+            strategy: Strategy::PrivateWithholding,
+        }
+    }
+
+    fn run(opts: &HorizonOptions) -> io::Result<HorizonReport> {
+        let probs = LeaderProbs::weighted(&[0.15; 5], 0.25, 0.3);
+        run_horizon(&config(), &probs, SEED, opts)
+    }
+
+    /// Rewrites the WAL's last record through `edit`, in a frame with a
+    /// valid CRC, so only the record's content can be rejected.
+    fn rewrite_last_record(opts: &HorizonOptions, edit: impl FnOnce(&mut WalRecord)) {
+        let path = opts.wal.as_deref().expect("a WAL path");
+        let hash = params_hash(&config(), SEED, opts);
+        let (mut rec, end) = load_wal(path, hash)
+            .expect("a readable WAL")
+            .expect("at least one compaction record");
+        let start = end as usize - 8 - 8 * rec.to_words().len();
+        edit(&mut rec);
+        let payload = words_to_bytes(&rec.to_words());
+        let mut bytes = std::fs::read(path).expect("read the WAL");
+        bytes.truncate(start);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(path, bytes).expect("rewrite the WAL");
+    }
+
+    /// Runs a short horizon that writes a WAL, checks that an intact
+    /// rewrite of its last record resumes to the same report, then breaks
+    /// one field through `edit` and returns the resume error's message.
+    fn resume_error(tag: &str, edit: impl FnOnce(&mut WalRecord)) -> String {
+        let path = std::env::temp_dir().join(format!("horizon_unit_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let opts = HorizonOptions {
+            segment_slots: 4096,
+            wal: Some(path.clone()),
+            ..HorizonOptions::default()
+        };
+        let straight = run(&opts).expect("straight run");
+        rewrite_last_record(&opts, |_| {});
+        let resumed = run(&opts).expect("an intact record resumes");
+        assert!(resumed.resumed_at.is_some());
+        assert_eq!(
+            HorizonReport {
+                resumed_at: None,
+                ..resumed
+            },
+            straight
+        );
+        rewrite_last_record(&opts, edit);
+        let err = run(&opts).expect_err("a broken field must be rejected");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn resume_rejects_a_root_honesty_that_contradicts_the_issuer() {
+        let msg = resume_error("honest", |r| r.root_honest ^= 1);
+        assert!(msg.contains("root_honest"), "{msg}");
+    }
+
+    #[test]
+    fn resume_rejects_a_root_issuer_outside_u32() {
+        let msg = resume_error("issuer", |r| r.root_issuer = 1 << 40);
+        assert!(msg.contains("root_issuer"), "{msg}");
+    }
+
+    #[test]
+    fn resume_rejects_a_root_slot_past_the_compaction_point() {
+        let msg = resume_error("slot", |r| r.root_slot = r.slot + 1);
+        assert!(msg.contains("root_slot"), "{msg}");
+    }
+
+    #[test]
+    fn resume_rejects_a_root_height_above_the_root_slot() {
+        let msg = resume_error("height", |r| r.root_height = r.root_slot + 1);
+        assert!(msg.contains("root_height"), "{msg}");
+    }
+
+    #[test]
+    fn resume_rejects_a_strategy_state_of_the_wrong_length() {
+        let short = resume_error("short_state", |r| {
+            r.strategy.pop();
+        });
+        assert!(short.contains("strategy state"), "{short}");
+        let long = resume_error("long_state", |r| r.strategy.push(0));
+        assert!(long.contains("strategy state"), "{long}");
+    }
 }

@@ -18,7 +18,7 @@
 //!
 //! | reference | columnar ([`ColumnarSimulation`]) |
 //! |---|---|
-//! | `Vec<Block>` of structs | flat slot/parent/height/issuer columns over the shared `AncestorIndex` ([`ColumnarStore`]) |
+//! | `Vec<Block>` of structs | flat slot and issuer columns over the shared `AncestorIndex`, which holds the parents and depths ([`ColumnarStore`]) |
 //! | one `Vec<usize>` of leaders per slot | one flat leader column + offsets ([`ColumnarSchedule`]) |
 //! | `O(slots)` live delivery queues | a reused ring of `lookahead + 1` buckets ([`DeliveryRing`]) |
 //! | `HashSet<BlockId>` known-sets | none: `receive` is a pure function of (tip, block), so a full broadcast resolves once per distinct starting tip |

@@ -43,7 +43,8 @@
 //!   `SlotContext` pins the mint slot), so the store's tail between two
 //!   hook calls is exactly the new slot's blocks, in mint order;
 //! * block ids are dense with genesis `0`, so fork vertex ids align 1:1
-//!   with block ids and parent lookup is a vector index.
+//!   with block ids and a parent block's vertex is
+//!   [`VertexId::from_index`] of its id.
 //!
 //! [`StreamValidator`]: multihonest_fork::StreamValidator
 
@@ -192,11 +193,9 @@ fn fold_batches(
     let blocks = schedule.block_hint();
     let mut fold = ForkFold::new(delta);
     fold.reserve(schedule.len(), blocks);
-    // Block id → fork vertex id (index 0 is genesis ↔ root). With the
-    // columnar store's dense ids this stays the identity map, which the
-    // fold debug-asserts.
-    let mut vertex_of = Vec::with_capacity(blocks + 1);
-    vertex_of.push(VertexId::ROOT);
+    // Block ids and fork vertex ids are both dense in mint order (genesis
+    // ↔ root), so a block's vertex is the vertex with the same index.
+    let mut block = 0;
     let mut slot = 0;
     for Batch {
         last_slot,
@@ -208,13 +207,9 @@ fn fold_batches(
             slot += 1;
             fold.push_symbol(schedule.classify(slot));
             while let Some(&(parent, _)) = minted.get(next).filter(|m| m.1 as usize == slot) {
-                let v = fold.push_vertex(vertex_of[parent as usize], slot);
-                debug_assert_eq!(
-                    v.index(),
-                    vertex_of.len(),
-                    "dense block/vertex id alignment"
-                );
-                vertex_of.push(v);
+                let v = fold.push_vertex(VertexId::from_index(parent as usize), slot);
+                block += 1;
+                debug_assert_eq!(v.index(), block, "dense block/vertex id alignment");
                 next += 1;
             }
         }

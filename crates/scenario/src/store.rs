@@ -4,10 +4,12 @@
 //! `Vec<Block>`; at the million-slot scale the execution loop touches
 //! only two or three fields of a few blocks per slot, so the
 //! array-of-structs layout drags five cold fields through the cache for
-//! every hot one. [`ColumnarStore`] stores each field in its own flat
-//! column (`u32` ids throughout) and shares the workspace-wide
-//! [`AncestorIndex`] for `O(log n)` ancestry queries — `O(1)` amortized
-//! per mint, zero steady-state allocation.
+//! every hot one. [`ColumnarStore`] keeps one copy of each per-block
+//! fact: slot and issuer columns (`u32` throughout) over the
+//! workspace-wide [`AncestorIndex`], which already holds every parent
+//! and depth and answers ancestry queries in `O(log n)` — `O(1)`
+//! amortized per mint, zero steady-state allocation. Heights are the
+//! index depths above the root, and honesty is read off the issuer.
 
 use multihonest_core::AncestorIndex;
 use multihonest_sim::consistency::DivergenceOps;
@@ -25,11 +27,12 @@ pub const GENESIS_ISSUER: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct ColumnarStore {
     slot: Vec<u32>,
-    parent: Vec<u32>,
-    height: Vec<u32>,
     issuer: Vec<u32>,
-    honest: Vec<bool>,
+    /// Parent links and depths (genesis self-parents at depth 0).
     anc: AncestorIndex,
+    /// The absolute height of block 0: 0 for genesis, the compacted
+    /// root's height after [`reset_to_root`](ColumnarStore::reset_to_root).
+    root_height: u32,
 }
 
 impl Default for ColumnarStore {
@@ -46,30 +49,21 @@ impl ColumnarStore {
 
     /// A store holding only genesis, with room for `blocks` more.
     pub fn with_capacity(blocks: usize) -> ColumnarStore {
-        let cap = blocks + 1;
         let mut s = ColumnarStore {
-            slot: Vec::with_capacity(cap),
-            parent: Vec::with_capacity(cap),
-            height: Vec::with_capacity(cap),
-            issuer: Vec::with_capacity(cap),
-            honest: Vec::with_capacity(cap),
+            slot: Vec::with_capacity(blocks + 1),
+            issuer: Vec::with_capacity(blocks + 1),
             anc: AncestorIndex::new(),
+            root_height: 0,
         };
         s.slot.push(0);
-        s.parent.push(0); // genesis self-parents, matching AncestorIndex
-        s.height.push(0);
         s.issuer.push(GENESIS_ISSUER);
-        s.honest.push(true);
         s
     }
 
     /// Reserves room for at least `additional` more blocks.
     pub fn reserve(&mut self, additional: usize) {
         self.slot.reserve(additional);
-        self.parent.reserve(additional);
-        self.height.reserve(additional);
         self.issuer.reserve(additional);
-        self.honest.reserve(additional);
         self.anc.reserve(additional);
     }
 
@@ -78,16 +72,11 @@ impl ColumnarStore {
     /// one execution resets in `O(1)` heap traffic for the next seed.
     pub fn reset(&mut self) {
         self.slot.clear();
-        self.parent.clear();
-        self.height.clear();
         self.issuer.clear();
-        self.honest.clear();
         self.anc.clear();
         self.slot.push(0);
-        self.parent.push(0);
-        self.height.push(0);
         self.issuer.push(GENESIS_ISSUER);
-        self.honest.push(true);
+        self.root_height = 0;
     }
 
     /// Resets the store to hold a single **compacted root** block with
@@ -99,21 +88,21 @@ impl ColumnarStore {
     /// compacted execution is indistinguishable from the uncompacted one
     /// above the root. Keeps allocations, like
     /// [`reset`](ColumnarStore::reset).
-    pub fn reset_to_root(&mut self, slot: usize, height: usize, issuer: u32, honest: bool) {
+    pub fn reset_to_root(&mut self, slot: usize, height: usize, issuer: u32) {
         self.reset();
         self.slot[0] = slot as u32;
-        self.height[0] = height as u32;
         self.issuer[0] = issuer;
-        self.honest[0] = honest;
+        self.root_height = height as u32;
     }
 
-    /// Mints a block on `parent` at `slot` by `issuer` and returns its id.
+    /// Mints a block on `parent` at `slot` by `issuer` and returns its id;
+    /// the block is honest unless `issuer` is [`ADVERSARY`].
     ///
     /// # Panics
     ///
     /// Panics if `parent` does not exist or `slot` does not exceed the
     /// parent's slot (hash-chaining makes backdating impossible).
-    pub fn mint(&mut self, parent: u32, slot: usize, issuer: u32, honest: bool) -> u32 {
+    pub fn mint(&mut self, parent: u32, slot: usize, issuer: u32) -> u32 {
         let p = parent as usize;
         assert!(
             slot > self.slot[p] as usize,
@@ -122,10 +111,7 @@ impl ColumnarStore {
         );
         let id = self.slot.len() as u32;
         self.slot.push(slot as u32);
-        self.parent.push(parent);
-        self.height.push(self.height[p] + 1);
         self.issuer.push(issuer);
-        self.honest.push(honest);
         let idx = self.anc.push(p);
         debug_assert_eq!(idx, id as usize);
         id
@@ -147,16 +133,17 @@ impl ColumnarStore {
         self.slot[b as usize] as usize
     }
 
-    /// The chain height of `b` (genesis has 0).
+    /// The chain height of `b` (genesis has 0; a compacted root keeps
+    /// its absolute height).
     #[inline]
     pub fn height(&self, b: u32) -> usize {
-        self.height[b as usize] as usize
+        self.root_height as usize + self.anc.depth(b as usize)
     }
 
     /// The parent of `b`, or `None` for genesis.
     #[inline]
     pub fn parent(&self, b: u32) -> Option<u32> {
-        (b != 0).then(|| self.parent[b as usize])
+        self.anc.parent(b as usize).map(|p| p as u32)
     }
 
     /// The issuer of `b` ([`ADVERSARY`]/[`GENESIS_ISSUER`] sentinels).
@@ -165,10 +152,11 @@ impl ColumnarStore {
         self.issuer[b as usize]
     }
 
-    /// Whether `b` was minted by an honest leader.
+    /// Whether `b` was minted by an honest leader (genesis counts as
+    /// honest).
     #[inline]
     pub fn is_honest(&self, b: u32) -> bool {
-        self.honest[b as usize]
+        self.issuer[b as usize] != ADVERSARY
     }
 
     /// The last common block of the chains at `a` and `b`, `O(log n)`.
@@ -220,7 +208,7 @@ impl DivergenceOps for ColumnarStore {
     }
 
     fn parent_of(&self, b: u32) -> u32 {
-        self.parent[b as usize]
+        self.parent(b).unwrap_or(0)
     }
 
     fn lca(&self, a: u32, b: u32) -> u32 {
@@ -237,9 +225,9 @@ mod tests {
         let mut s = ColumnarStore::new();
         assert_eq!(s.len(), 1);
         assert_eq!(s.parent(0), None);
-        let a = s.mint(0, 1, 0, true);
-        let b = s.mint(a, 2, 1, true);
-        let c = s.mint(a, 3, ADVERSARY, false);
+        let a = s.mint(0, 1, 0);
+        let b = s.mint(a, 2, 1);
+        let c = s.mint(a, 3, ADVERSARY);
         assert_eq!(s.height(b), 2);
         assert_eq!(s.parent(c), Some(a));
         assert!(!s.is_honest(c));
@@ -252,26 +240,61 @@ mod tests {
     #[test]
     fn reset_matches_fresh_store() {
         let mut s = ColumnarStore::with_capacity(8);
-        let a = s.mint(0, 1, 0, true);
-        let _ = s.mint(a, 2, ADVERSARY, false);
+        let a = s.mint(0, 1, 0);
+        let _ = s.mint(a, 2, ADVERSARY);
         s.reset();
         assert_eq!(s.len(), 1);
         assert_eq!(s.parent(0), None);
         assert_eq!(s.issuer(0), GENESIS_ISSUER);
         // Rebuilding after reset gives the same ids and ancestry answers.
-        let a = s.mint(0, 1, 0, true);
-        let b = s.mint(a, 2, 1, true);
-        let c = s.mint(a, 3, ADVERSARY, false);
+        let a = s.mint(0, 1, 0);
+        let b = s.mint(a, 2, 1);
+        let c = s.mint(a, 3, ADVERSARY);
         assert_eq!((a, b, c), (1, 2, 3));
         assert_eq!(s.last_common_block(b, c), a);
         assert_eq!(s.block_at_slot(b, 2), Some(b));
+    }
+
+    /// A compacted root reads its absolute height, slot and issuer
+    /// through the derived columns, and its children build on them.
+    #[test]
+    fn compacted_roots_read_through_the_derived_columns() {
+        let mut s = ColumnarStore::new();
+        let a = s.mint(0, 1, 0);
+        let _ = s.mint(a, 2, ADVERSARY);
+        for (issuer, honest) in [(3, true), (ADVERSARY, false)] {
+            s.reset_to_root(40, 17, issuer);
+            assert_eq!(s.len(), 1);
+            assert_eq!((s.slot(0), s.height(0), s.issuer(0)), (40, 17, issuer));
+            assert_eq!(s.is_honest(0), honest);
+            assert_eq!(s.parent(0), None);
+            assert_eq!(DivergenceOps::parent_of(&s, 0), 0);
+            let b = s.mint(0, 42, 1);
+            let c = s.mint(b, 45, ADVERSARY);
+            assert_eq!((b, c), (1, 2));
+            assert_eq!((s.height(b), s.height(c)), (18, 19));
+            assert_eq!((s.parent(b), s.parent(c)), (Some(0), Some(b)));
+            assert_eq!(DivergenceOps::parent_of(&s, c), b);
+            assert!(s.is_honest(b) && !s.is_honest(c));
+            assert_eq!(s.chain(c), vec![0, b, c]);
+            assert_eq!(s.block_at_slot(c, 40), Some(0));
+            assert_eq!(s.block_at_slot(c, 42), Some(b));
+            assert_eq!(s.block_at_slot(c, 45), Some(c));
+            assert_eq!(s.block_at_slot(c, 43), None);
+            assert_eq!(s.block_at_slot(b, 45), None);
+        }
+        // A plain reset forgets the root height.
+        s.reset();
+        assert_eq!((s.slot(0), s.height(0)), (0, 0));
+        let a = s.mint(0, 1, 0);
+        assert_eq!(s.height(a), 1);
     }
 
     #[test]
     #[should_panic(expected = "must exceed parent slot")]
     fn backdating_rejected() {
         let mut s = ColumnarStore::new();
-        let a = s.mint(0, 5, 0, true);
-        let _ = s.mint(a, 5, 1, true);
+        let a = s.mint(0, 5, 0);
+        let _ = s.mint(a, 5, 1);
     }
 }

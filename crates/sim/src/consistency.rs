@@ -7,10 +7,11 @@
 //! · log n)` for a full sweep over all anchors `s`, repeated per `k`.
 //!
 //! This module folds the whole execution into a [`DivergenceIndex`] once:
-//! for every anchor slot `s` it records the **earliest** and **latest**
-//! observation slots at which some pair of simultaneous honest views, or
-//! a rollback pair, diverges prior to `s`. Every settlement query then
-//! becomes an array lookup:
+//! for every anchor slot `s` it records the **latest** observation slot
+//! at which some pair of simultaneous honest views, or a rollback pair,
+//! diverges prior to `s` — the one fact Definition 3 needs, since `s` is
+//! `k`-settled exactly when that slot lies below `s + k`. Every
+//! settlement query then becomes an array lookup:
 //!
 //! * `settlement_violation(s, k)` ⇔ `latest[s] ≥ s + k` — `O(1)`;
 //! * a full sweep `settlement_violations(k)` — `O(slots)` for *any* `k`;
@@ -88,19 +89,15 @@ impl DivergenceOps for BlockStore {
 /// the state `observe_tips` would — so their indices are identical.
 ///
 /// Chronological interleaving is equivalent to the batch order
-/// (all tip runs, then all rollbacks): `latest` updates are pure maxima,
-/// and `earliest` updates are pure minima — the run branch only writes an
-/// unset entry, and in chronological order any earlier rollback write is
-/// already the minimum.
+/// (all tip runs, then all rollbacks): `latest` updates are pure maxima.
 #[derive(Debug, Clone)]
 pub struct DivergenceFold {
     slots: usize,
     /// Anchors `≤ base` have been drained out of the window (segmented
-    /// executions advance it at compaction points); `earliest[i]` /
-    /// `latest[i]` describe anchor `base + i + 1`. Full-horizon folds
-    /// keep `base = 0` forever.
+    /// executions advance it at compaction points); `latest[i]`
+    /// describes anchor `base + i + 1`. Full-horizon folds keep
+    /// `base = 0` forever.
     base: usize,
-    earliest: Vec<usize>,
     latest: Vec<usize>,
     /// Anchors diverging under the currently open run of identical tip
     /// sets.
@@ -127,7 +124,6 @@ impl DivergenceFold {
         DivergenceFold {
             slots,
             base: 0,
-            earliest: vec![0; slots],
             latest: vec![0; slots],
             current: Vec::new(),
             mark: Vec::new(),
@@ -143,12 +139,11 @@ impl DivergenceFold {
     /// with lazily grown arrays: memory tracks the span since the last
     /// [`DivergenceFold::advance_base`] instead of the full horizon —
     /// the shape the segmented horizon driver needs at 10⁸ slots, where
-    /// eager `O(slots)` arrays alone would be ≈ 1.6 GB.
+    /// an eager `O(slots)` array alone would be ≈ 0.8 GB.
     pub fn windowed(slots: usize) -> DivergenceFold {
         DivergenceFold {
             slots,
             base: 0,
-            earliest: Vec::new(),
             latest: Vec::new(),
             current: Vec::new(),
             mark: Vec::new(),
@@ -178,19 +173,18 @@ impl DivergenceFold {
         let need = s - self.base;
         if self.latest.len() < need {
             self.latest.resize(need, 0);
-            self.earliest.resize(need, 0);
         }
     }
 
     /// Drains every settled anchor `base < s ≤ new_base` out of the
-    /// window — calling `drain(s, earliest, latest)` for each anchor
-    /// with a diverging observation — and advances the base. The caller
+    /// window — calling `drain(s, latest)` for each anchor with a
+    /// diverging observation — and advances the base. The caller
     /// must be at a **fully settled** observation point: the clock
     /// stands exactly at `new_base` and the last observation was
     /// unanimous (so no run is open and no future observation can touch
     /// a drained anchor — post-compaction blocks all carry slots
     /// `> new_base`).
-    pub fn advance_base<F: FnMut(usize, usize, usize)>(&mut self, new_base: usize, mut drain: F) {
+    pub fn advance_base<F: FnMut(usize, usize)>(&mut self, new_base: usize, mut drain: F) {
         debug_assert!(
             self.current.is_empty(),
             "compaction requires a closed (unanimous) run"
@@ -203,12 +197,11 @@ impl DivergenceFold {
         // Every recorded anchor is a block slot ≤ the observation clock,
         // so the whole window drains; nothing shifts.
         debug_assert!(self.latest.len() <= new_base - self.base);
-        for i in 0..self.latest.len() {
-            if self.latest[i] != 0 {
-                drain(self.base + i + 1, self.earliest[i], self.latest[i]);
+        for (i, &t) in self.latest.iter().enumerate() {
+            if t != 0 {
+                drain(self.base + i + 1, t);
             }
         }
-        self.earliest.clear();
         self.latest.clear();
         self.base = new_base;
     }
@@ -229,14 +222,14 @@ impl DivergenceFold {
     /// window — the windowed analogue of [`DivergenceFold::finish`],
     /// for drivers that aggregate instead of materialising a
     /// [`DivergenceIndex`].
-    pub fn finish_windowed<F: FnMut(usize, usize, usize)>(mut self, mut drain: F) {
+    pub fn finish_windowed<F: FnMut(usize, usize)>(mut self, mut drain: F) {
         for &s in &self.current {
             let i = s - 1 - self.base;
             self.latest[i] = self.latest[i].max(self.slots);
         }
-        for i in 0..self.latest.len() {
-            if self.latest[i] != 0 {
-                drain(self.base + i + 1, self.earliest[i], self.latest[i]);
+        for (i, &t) in self.latest.iter().enumerate() {
+            if t != 0 {
+                drain(self.base + i + 1, t);
             }
         }
     }
@@ -271,11 +264,6 @@ impl DivergenceFold {
                     self.mark[cur as usize] = self.epoch;
                     self.current.push(store.slot_of(cur));
                     cur = store.parent_of(cur);
-                }
-            }
-            for &s in &self.current {
-                if self.earliest[s - 1 - self.base] == 0 {
-                    self.earliest[s - 1 - self.base] = t;
                 }
             }
         }
@@ -326,9 +314,6 @@ impl DivergenceFold {
         self.close_run(t);
         self.ensure_anchor(t);
         self.current.push(child_slot);
-        if self.earliest[child_slot - 1 - self.base] == 0 {
-            self.earliest[child_slot - 1 - self.base] = t;
-        }
         self.prev.clear();
         self.prev.push(parent);
         self.prev.push(child);
@@ -397,11 +382,6 @@ impl DivergenceFold {
                     None => walk[i] = (parent, store.slot_of(parent), reach),
                 }
             }
-            for &s in &self.current {
-                if self.earliest[s - 1 - self.base] == 0 {
-                    self.earliest[s - 1 - self.base] = t;
-                }
-            }
         }
         self.prev.clear();
         self.prev.extend_from_slice(tips);
@@ -434,9 +414,6 @@ impl DivergenceFold {
                 if s <= self.slots {
                     debug_assert!(s > self.base, "rollback anchor below the drained base");
                     let i = s - 1 - self.base;
-                    if self.earliest[i] == 0 || t < self.earliest[i] {
-                        self.earliest[i] = t;
-                    }
                     self.latest[i] = self.latest[i].max(t);
                 }
                 cur = store.parent_of(cur);
@@ -453,7 +430,6 @@ impl DivergenceFold {
             self.base, 0,
             "a base-advanced fold cannot build a full index"
         );
-        self.earliest.resize(self.slots, 0);
         self.latest.resize(self.slots, 0);
         for &s in &self.current {
             self.latest[s - 1] = self.latest[s - 1].max(self.slots);
@@ -463,7 +439,6 @@ impl DivergenceFold {
             .map(|s| self.latest[s - 1] - s)
             .max();
         DivergenceIndex {
-            earliest: self.earliest,
             latest: self.latest,
             max_lag,
         }
@@ -478,10 +453,8 @@ impl DivergenceFold {
 /// that domain report "no divergence" rather than panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceIndex {
-    /// `earliest[s − 1]`: first observation slot with a pair diverging
-    /// prior to `s` (0 = never).
-    earliest: Vec<usize>,
-    /// `latest[s − 1]`: last such observation slot (0 = never).
+    /// `latest[s − 1]`: last observation slot with a pair diverging prior
+    /// to `s` (0 = never).
     latest: Vec<usize>,
     /// `max_s (latest[s] − s)`, cached at build time so the emptiness
     /// checks behind [`DivergenceIndex::first_violation`] and
@@ -520,21 +493,10 @@ impl DivergenceIndex {
         self.latest.len()
     }
 
-    /// The first observation slot at which two honest views or a rollback
-    /// pair diverged prior to `slot`, if any ever did. Slots outside
-    /// `1..=slots` report `None`.
-    pub fn earliest_diverging_observation(&self, slot: usize) -> Option<usize> {
-        match slot {
-            s if s == 0 || s > self.earliest.len() => None,
-            s => match self.earliest[s - 1] {
-                0 => None,
-                t => Some(t),
-            },
-        }
-    }
-
-    /// The last such observation slot; `settlement_violation(s, k)` holds
-    /// exactly when this is `≥ s + k`.
+    /// The last observation slot at which two honest views or a rollback
+    /// pair diverged prior to `slot`, if any ever did;
+    /// `settlement_violation(s, k)` holds exactly when this is `≥ s + k`.
+    /// Slots outside `1..=slots` report `None`.
     pub fn latest_diverging_observation(&self, slot: usize) -> Option<usize> {
         match slot {
             s if s == 0 || s > self.latest.len() => None,
@@ -650,19 +612,16 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_views_are_indexed_with_earliest_and_latest() {
+    fn concurrent_views_are_indexed_with_latest() {
         let (store, tips) = split_views();
         let idx = DivergenceIndex::build(&store, &tips, &[]);
         // Anchors 1, 2 sit on the common prefix: never diverging.
         assert_eq!(idx.latest_diverging_observation(1), None);
         assert_eq!(idx.latest_diverging_observation(2), None);
         // Anchor 3 (and 4) diverge from observation 4 through 6.
-        assert_eq!(idx.earliest_diverging_observation(3), Some(4));
         assert_eq!(idx.latest_diverging_observation(3), Some(6));
-        assert_eq!(idx.earliest_diverging_observation(4), Some(4));
         assert_eq!(idx.latest_diverging_observation(4), Some(6));
         // Anchor 5 appears once a5 joins the split views at slot 6.
-        assert_eq!(idx.earliest_diverging_observation(5), Some(6));
         assert_eq!(idx.latest_diverging_observation(5), Some(6));
         // Violations: anchor 3 with k ≤ 3 (6 ≥ 3 + 3), not k = 4.
         assert!(idx.violates(3, 3));
@@ -707,7 +666,7 @@ mod tests {
         let idx = DivergenceIndex::build(&store, &tips, &[]);
         assert!(!idx.violates(0, 0));
         assert!(!idx.violates(9, 0));
-        assert_eq!(idx.earliest_diverging_observation(0), None);
+        assert_eq!(idx.latest_diverging_observation(0), None);
         assert_eq!(idx.latest_diverging_observation(100), None);
     }
 

@@ -417,8 +417,8 @@ impl Simulation {
         &self.rollbacks
     }
 
-    /// The execution's [`DivergenceIndex`]: per-anchor earliest/latest
-    /// diverging observations, folded once during [`Simulation::run`].
+    /// The execution's [`DivergenceIndex`]: per-anchor latest diverging
+    /// observations, folded once during [`Simulation::run`].
     pub fn divergence_index(&self) -> &DivergenceIndex {
         &self.divergence
     }

@@ -150,17 +150,13 @@ fn slot_domain_edges_are_guarded() {
     let idx = sim.divergence_index();
     assert_eq!(idx.slots(), cfg.slots);
     for s in 1..=cfg.slots {
-        match (
-            idx.earliest_diverging_observation(s),
-            idx.latest_diverging_observation(s),
-        ) {
-            (Some(e), Some(l)) => {
-                assert!(s <= e && e <= l, "observation order at anchor {s}");
+        match idx.latest_diverging_observation(s) {
+            Some(l) => {
+                assert!(s <= l, "observation order at anchor {s}");
                 assert!(sim.settlement_violation(s, l - s));
                 assert!(!sim.settlement_violation(s, l - s + 1));
             }
-            (None, None) => assert!(!sim.settlement_violation(s, 0)),
-            other => panic!("half-set observation at anchor {s}: {other:?}"),
+            None => assert!(!sim.settlement_violation(s, 0)),
         }
     }
 }
