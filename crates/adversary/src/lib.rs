@@ -25,4 +25,4 @@ pub mod montecarlo;
 
 pub use crate::astar::{is_canonical, AstarBuilder, OptimalAdversary};
 pub use crate::game::{GameAdversary, NoopAdversary, RandomAdversary, SettlementGame};
-pub use crate::montecarlo::{CanonicalMonteCarlo, CanonicalSummary, MonteCarlo, SimMonteCarlo};
+pub use crate::montecarlo::{CanonicalMonteCarlo, CanonicalSummary, MonteCarlo};

@@ -1,14 +1,15 @@
 //! Parallel Monte-Carlo estimation of settlement, UVP and Catalan
-//! statistics — over sampled characteristic strings ([`MonteCarlo`]) and
-//! over full protocol executions ([`SimMonteCarlo`]).
+//! statistics over sampled characteristic strings ([`MonteCarlo`]) and
+//! of canonical-fork statistics ([`CanonicalMonteCarlo`]).
 //!
-//! Every string estimator samples i.i.d. strings from a
-//! [`BernoulliCondition`] and evaluates a *deterministic* predicate from
-//! the sibling crates (margin recurrence, Catalan scan); the execution
-//! estimators run the slot-by-slot simulator and read its indexed
-//! consistency layer. The results come with Wilson confidence intervals
-//! so that the experiment harness can print honest error bars next to the
-//! exact DP values and the analytic bounds.
+//! Every estimator samples i.i.d. strings from a [`BernoulliCondition`]
+//! and evaluates a *deterministic* predicate from the sibling crates
+//! (margin recurrence, Catalan scan, the `A*` builder). The results come
+//! with Wilson confidence intervals so that the experiment harness can
+//! print honest error bars next to the exact DP values and the analytic
+//! bounds. Settlement frequencies over full protocol executions come
+//! from the campaign sweep (`multihonest-sweep`), whose report puts each
+//! cell's Wilson interval next to the exact DP.
 
 use multihonest_catalan::CatalanAnalysis;
 use multihonest_chars::BernoulliCondition;
@@ -17,19 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::astar::AstarBuilder;
-
-/// Sums `f(i)` over jobs `i ∈ 0..n` with up to `workers` scoped threads
-/// claiming indices from a shared atomic counter. The reduction is a
-/// commutative integer sum over a fixed job set, so the total is a pure
-/// function of `(n, f)` — identical for every worker count. Both
-/// Monte-Carlo drivers ([`MonteCarlo`], [`SimMonteCarlo`]) reduce
-/// through this.
-fn sum_claimed<F>(n: u64, workers: usize, f: F) -> u64
-where
-    F: Fn(u64) -> u64 + Sync,
-{
-    reduce_claimed(n, workers, 0u64, f, |a, b| a + b)
-}
 
 /// A binomial estimate with Wilson confidence intervals.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +127,7 @@ impl MonteCarlo {
     {
         let cond = self.cond;
         let blocks = self.trials.div_ceil(Self::BLOCK);
-        let hits = sum_claimed(blocks, self.threads, |b| {
+        let count_block = |b: u64| {
             let quota = Self::BLOCK.min(self.trials - b * Self::BLOCK);
             let mut rng = StdRng::seed_from_u64(self.block_seed(b));
             let mut local = 0u64;
@@ -150,7 +138,8 @@ impl MonteCarlo {
                 }
             }
             local
-        });
+        };
+        let hits = reduce_claimed(blocks, self.threads, 0, count_block, |a, b| a + b);
         Estimate {
             hits,
             trials: self.trials,
@@ -213,10 +202,12 @@ impl MonteCarlo {
 
 /// Claims jobs `i ∈ 0..n` from a shared atomic counter across up to
 /// `workers` scoped threads and merges `f(i)` with the commutative,
-/// associative `merge` — like [`sum_claimed`], but for arbitrary
-/// aggregates. The result is a pure function of `(n, f)` whatever the
-/// parallelism, provided `merge` really is commutative and associative
-/// (integer sums, maxima and counts are; float sums are **not**).
+/// associative `merge` — the reduction behind both drivers: an integer
+/// hit sum for [`MonteCarlo`], integer partials for
+/// [`CanonicalMonteCarlo`]. The result is a pure function of `(n, f)`
+/// whatever the parallelism, provided `merge` really is commutative and
+/// associative (integer sums, maxima and counts are; float sums are
+/// **not**).
 fn reduce_claimed<T, F, M>(n: u64, workers: usize, init: T, f: F, merge: M) -> T
 where
     T: Send,
@@ -451,108 +442,10 @@ impl CanonicalMonteCarlo {
     }
 }
 
-/// Parallel Monte-Carlo driver over **full protocol executions** — the
-/// simulator-side counterpart of [`MonteCarlo`], which samples bare
-/// characteristic strings. Each trial runs the **columnar scenario
-/// engine** ([`ColumnarSimulation`], bit-identical to `sim::reference`
-/// by the scenario crate's equivalence suite, and several times faster)
-/// on a distinct seed in streaming mode — no per-slot traces are
-/// retained — and reads the observed settlement statistics from the
-/// online-folded divergence index, so a whole per-trial sweep costs
-/// `O(slots)` on top of the run itself (the naive per-`(s, k)` scans
-/// would dominate at `O(slots²)` and worse).
-///
-/// [`ColumnarSimulation`]: multihonest_scenario::ColumnarSimulation
-#[derive(Debug, Clone, Copy)]
-pub struct SimMonteCarlo {
-    cfg: multihonest_sim::SimConfig,
-    runs: u64,
-    seed: u64,
-    threads: usize,
-}
-
-impl SimMonteCarlo {
-    /// Creates a driver executing `runs` simulations with seeds
-    /// `seed, seed + 1, …`, using all available parallelism.
-    pub fn new(cfg: multihonest_sim::SimConfig, runs: u64, seed: u64) -> SimMonteCarlo {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        SimMonteCarlo {
-            cfg,
-            runs,
-            seed,
-            threads,
-        }
-    }
-
-    /// Overrides the number of worker threads.
-    pub fn with_threads(mut self, threads: usize) -> SimMonteCarlo {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configuration each trial runs.
-    pub fn config(&self) -> &multihonest_sim::SimConfig {
-        &self.cfg
-    }
-
-    /// Maps every trial seed through `f` (given the trial's end-of-run
-    /// metrics and settlement index) and sums the results — workers claim
-    /// seeds from a shared counter, and the commutative integer reduction
-    /// makes the total a pure function of `(cfg, seed, runs)`, identical
-    /// for every thread count.
-    fn sum_over_seeds<F>(&self, f: F) -> u64
-    where
-        F: Fn(&multihonest_sim::Metrics, &multihonest_sim::DivergenceIndex) -> u64 + Sync,
-    {
-        sum_claimed(self.runs, self.threads, |i| {
-            let seed = self.seed.wrapping_add(i);
-            let schedule = multihonest_scenario::ColumnarSchedule::sample(
-                self.cfg.honest_nodes,
-                self.cfg.adversarial_stake,
-                self.cfg.active_slot_coeff,
-                self.cfg.slots,
-                seed,
-            );
-            let mut strategy = self.cfg.strategy.instantiate();
-            let (metrics, index) = multihonest_scenario::ColumnarSimulation::run_streaming(
-                &self.cfg,
-                &schedule,
-                strategy.as_mut(),
-                &mut (),
-            );
-            f(&metrics, &index)
-        })
-    }
-
-    /// Frequency of executions exhibiting **any** `(s, k)`-settlement
-    /// violation — an `O(1)` read per trial off the execution's maximum
-    /// settlement lag.
-    pub fn any_violation(&self, k: usize) -> Estimate {
-        let hits = self.sum_over_seeds(|m, _| u64::from(m.observed_settlement_violation(k)));
-        Estimate {
-            hits,
-            trials: self.runs,
-        }
-    }
-
-    /// Mean number of violated anchor slots per execution at parameter
-    /// `k`, via the batch sweep.
-    pub fn mean_violating_slots(&self, k: usize) -> f64 {
-        if self.runs == 0 {
-            return 0.0;
-        }
-        let total = self.sum_over_seeds(|_, index| index.count_violations(k, usize::MAX) as u64);
-        total as f64 / self.runs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use multihonest_margin::ExactSettlement;
-    use multihonest_sim::{SimConfig, Strategy, TieBreak};
 
     #[test]
     fn wilson_interval_sanity() {
@@ -658,66 +551,6 @@ mod tests {
         assert!(weak.mean_margin < strong.mean_margin);
         assert!(weak.nonneg_margin_trials <= strong.nonneg_margin_trials);
         assert!(weak.max_rho <= strong.max_rho + 5);
-    }
-
-    fn sim_mc_config() -> SimConfig {
-        SimConfig {
-            honest_nodes: 6,
-            adversarial_stake: 0.45,
-            active_slot_coeff: 0.3,
-            delta: 0,
-            slots: 300,
-            tie_break: TieBreak::AdversarialOrder,
-            strategy: Strategy::PrivateWithholding,
-        }
-    }
-
-    #[test]
-    fn sim_estimates_are_thread_count_invariant() {
-        let mc = SimMonteCarlo::new(sim_mc_config(), 12, 5);
-        let single = mc.with_threads(1).any_violation(5);
-        for threads in [2usize, 4] {
-            assert_eq!(single, mc.with_threads(threads).any_violation(5));
-        }
-        let m1 = mc.with_threads(1).mean_violating_slots(5);
-        let m4 = mc.with_threads(4).mean_violating_slots(5);
-        assert_eq!(m1, m4);
-    }
-
-    #[test]
-    fn sim_mc_columnar_trials_match_the_reference_engine() {
-        // The driver now runs the columnar engine per trial; its per-seed
-        // statistics must match reference executions exactly.
-        let cfg = sim_mc_config();
-        let mc = SimMonteCarlo::new(cfg, 6, 11).with_threads(1);
-        let k = 5;
-        let mut ref_hits = 0u64;
-        let mut ref_total = 0u64;
-        for i in 0..6u64 {
-            let sim = multihonest_sim::Simulation::run(&cfg, 11 + i);
-            ref_hits += u64::from(sim.metrics().observed_settlement_violation(k));
-            ref_total += sim.count_violating_slots(k, cfg.slots) as u64;
-        }
-        assert_eq!(mc.any_violation(k).hits, ref_hits);
-        assert!((mc.mean_violating_slots(k) - ref_total as f64 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sim_violation_frequency_decreases_with_k() {
-        let mc = SimMonteCarlo::new(sim_mc_config(), 16, 3);
-        let small = mc.any_violation(2);
-        let large = mc.any_violation(40);
-        assert!(
-            small.hits >= large.hits,
-            "larger k can only settle more: {} vs {}",
-            small.hits,
-            large.hits
-        );
-        assert!(
-            small.hits > 0,
-            "a 45% withholding adversary must violate small k"
-        );
-        assert!(mc.mean_violating_slots(2) >= mc.mean_violating_slots(40));
     }
 
     #[test]

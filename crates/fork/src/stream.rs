@@ -36,9 +36,9 @@ use crate::validate::{validate_delta, ForkError};
 use multihonest_chars::{SemiString, SemiSymbol, Symbol};
 
 /// Sentinel for "no honest depth observed" in the prefix-maximum tree.
-const NO_MAX: (usize, usize) = (0, 0);
+const NO_MAX: (u32, u32) = (0, 0);
 /// Sentinel for "no honest depth observed" in the suffix-minimum tree.
-const NO_MIN: (usize, usize) = (usize::MAX, 0);
+const NO_MIN: (u32, u32) = (u32::MAX, 0);
 
 /// Growable Fenwick tree over slots `1..=n` answering
 /// "maximum `(depth, slot)` entry at any slot `≤ i`" in `O(log n)`.
@@ -50,7 +50,7 @@ const NO_MIN: (usize, usize) = (usize::MAX, 0);
 #[derive(Debug, Clone, Default)]
 struct PrefixMaxTree {
     /// 1-based; `tree[0]` unused.
-    tree: Vec<(usize, usize)>,
+    tree: Vec<(u32, u32)>,
 }
 
 impl PrefixMaxTree {
@@ -75,8 +75,8 @@ impl PrefixMaxTree {
     }
 
     /// Records depth `d` at slot `i` (keeps the maximum per slot).
-    fn update(&mut self, i: usize, d: usize) {
-        let entry = (d, i);
+    fn update(&mut self, i: usize, d: u32) {
+        let entry = (d, i as u32);
         let mut i = i;
         while i <= self.len() {
             if entry > self.tree[i] {
@@ -87,7 +87,7 @@ impl PrefixMaxTree {
     }
 
     /// Maximum entry over slots `1..=i`; [`NO_MAX`] when empty.
-    fn query(&self, i: usize) -> (usize, usize) {
+    fn query(&self, i: usize) -> (u32, u32) {
         let mut best = NO_MAX;
         let mut i = i.min(self.len());
         while i > 0 {
@@ -109,7 +109,7 @@ impl PrefixMaxTree {
 #[derive(Debug, Clone, Default)]
 struct SuffixMinTree {
     /// 1-based; `tree[0]` unused.
-    tree: Vec<(usize, usize)>,
+    tree: Vec<(u32, u32)>,
 }
 
 impl SuffixMinTree {
@@ -127,8 +127,8 @@ impl SuffixMinTree {
     }
 
     /// Records depth `d` at slot `i` (keeps the minimum per slot).
-    fn update(&mut self, i: usize, d: usize) {
-        let entry = (d, i);
+    fn update(&mut self, i: usize, d: u32) {
+        let entry = (d, i as u32);
         let mut i = i;
         while i > 0 {
             if entry < self.tree[i] {
@@ -139,7 +139,7 @@ impl SuffixMinTree {
     }
 
     /// Minimum entry over slots `i..=n`; [`NO_MIN`] when empty.
-    fn query(&self, i: usize) -> (usize, usize) {
+    fn query(&self, i: usize) -> (u32, u32) {
         let mut best = NO_MIN;
         let mut i = i;
         while i <= self.len() {
@@ -170,13 +170,18 @@ fn lowbit(i: usize) -> usize {
 /// Errors are **sticky**: the first violation is latched and returned by
 /// every later [`status`](StreamValidator::status) /
 /// [`finish`](StreamValidator::finish) call.
+///
+/// The per-slot count and the two trees' `(depth, slot)` entries are
+/// `u32`, 20 B per slot: fork labels and vertex ids are `u32` already,
+/// so no slot, depth or count can exceed that width. Values widen back
+/// to `usize` only in a [`ForkError`].
 #[derive(Debug, Clone)]
 pub struct StreamValidator {
     delta: usize,
     /// The characteristic string seen so far.
     syms: SemiString,
     /// Vertices observed per slot, `counts[slot]` (index 0 unused).
-    counts: Vec<usize>,
+    counts: Vec<u32>,
     /// Max honest depth per honest slot, for the `i + Δ < j` check.
     prefix: PrefixMaxTree,
     /// Min honest depth per honest slot, for the mirrored direction.
@@ -269,7 +274,7 @@ impl StreamValidator {
         if sym == SemiSymbol::UniqueHonest && self.counts[label] > 1 {
             self.error = Some(ForkError::UniqueHonestMultiplicity {
                 slot: label,
-                count: self.counts[label],
+                count: self.counts[label] as usize,
             });
             return;
         }
@@ -279,12 +284,13 @@ impl StreamValidator {
         // (F4Δ) both directions around the new honest vertex. Whichever
         // vertex of a violating pair is observed later triggers the check,
         // so insertion order never hides a violation.
+        let d32 = depth as u32;
         if label > self.delta + 1 {
             let (d, s) = self.prefix.query(label - self.delta - 1);
-            if d >= depth && s != 0 {
+            if d >= d32 && s != 0 {
                 self.error = Some(ForkError::HonestDepthOrder {
-                    earlier_slot: s,
-                    earlier_depth: d,
+                    earlier_slot: s as usize,
+                    earlier_depth: d as usize,
                     later_slot: label,
                     later_depth: depth,
                 });
@@ -293,18 +299,18 @@ impl StreamValidator {
         }
         if label + self.delta < n {
             let (d, s) = self.suffix.query(label + self.delta + 1);
-            if s != 0 && depth >= d {
+            if s != 0 && d32 >= d {
                 self.error = Some(ForkError::HonestDepthOrder {
                     earlier_slot: label,
                     earlier_depth: depth,
-                    later_slot: s,
-                    later_depth: d,
+                    later_slot: s as usize,
+                    later_depth: d as usize,
                 });
                 return;
             }
         }
-        self.prefix.update(label, depth);
-        self.suffix.update(label, depth);
+        self.prefix.update(label, d32);
+        self.suffix.update(label, d32);
     }
 
     /// The verdict over everything observed so far. `Ok` here does **not**
@@ -329,7 +335,7 @@ impl StreamValidator {
                 SemiSymbol::UniqueHonest if self.counts[slot] != 1 => {
                     return Err(ForkError::UniqueHonestMultiplicity {
                         slot,
-                        count: self.counts[slot],
+                        count: self.counts[slot] as usize,
                     });
                 }
                 SemiSymbol::MultiHonest if self.counts[slot] == 0 => {
@@ -696,7 +702,7 @@ mod tests {
         // queries, cross-checked against flat vectors.
         let mut pre = PrefixMaxTree::new();
         let mut suf = SuffixMinTree::new();
-        let mut naive: Vec<Option<(usize, usize)>> = Vec::new();
+        let mut naive: Vec<Option<(u32, u32)>> = Vec::new();
         let mut state = 0x9e37_79b9_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -713,7 +719,7 @@ mod tests {
                 }
                 1 if !naive.is_empty() => {
                     let i = (next() as usize % naive.len()) + 1;
-                    let d = next() as usize % 50 + 1;
+                    let d = (next() % 50 + 1) as u32;
                     pre.update(i, d);
                     suf.update(i, d);
                     let cur = naive[i - 1];
@@ -727,14 +733,14 @@ mod tests {
                     let want_max = naive[..i]
                         .iter()
                         .enumerate()
-                        .filter_map(|(j, e)| e.map(|(_, hi)| (hi, j + 1)))
+                        .filter_map(|(j, e)| e.map(|(_, hi)| (hi, j as u32 + 1)))
                         .max()
                         .unwrap_or(NO_MAX);
                     assert_eq!(pre.query(i).0, want_max.0);
                     let want_min = naive[i - 1..]
                         .iter()
                         .enumerate()
-                        .filter_map(|(j, e)| e.map(|(lo, _)| (lo, i + j)))
+                        .filter_map(|(j, e)| e.map(|(lo, _)| (lo, (i + j) as u32)))
                         .min()
                         .unwrap_or(NO_MIN);
                     assert_eq!(suf.query(i).0, want_min.0);

@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod engine;
 pub mod horizon;
 pub mod pipeline;
@@ -64,7 +63,6 @@ pub mod scenario;
 pub mod schedule;
 pub mod store;
 
-pub use crate::batch::{BatchExecution, TrialOutput};
 pub use crate::engine::{ColumnarSimulation, ExecutionArena, ENGINE_KERNEL_VERSION};
 pub use crate::horizon::{run_horizon, run_horizon_observed, HorizonOptions, HorizonReport};
 pub use crate::pipeline::{

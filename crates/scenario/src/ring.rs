@@ -42,8 +42,8 @@ impl DeliveryRing {
     }
 
     /// Reconfigures the ring in place for a new execution, clearing every
-    /// bucket but keeping their allocations — the batch-execution reuse
-    /// hook mirroring [`ColumnarStore::reset`](crate::ColumnarStore::reset).
+    /// bucket but keeping their allocations — the arena-reuse hook
+    /// mirroring [`ColumnarStore::reset`](crate::ColumnarStore::reset).
     pub fn reset(&mut self, delta: usize, lookahead: usize, slots: usize) {
         self.delta = delta;
         self.slots = slots;

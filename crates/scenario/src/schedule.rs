@@ -18,13 +18,13 @@ use rand::{RngCore, SeedableRng};
 /// the adversarial aggregate — everything about a stake distribution
 /// that schedule sampling actually consumes.
 ///
-/// Sampling a schedule is seed-specific, but the `φ` table is not: a
-/// batch of trials over one cell shares stakes, adversarial share and
+/// Sampling a schedule is seed-specific, but the `φ` table is not: the
+/// trials of one campaign cell share stakes, adversarial share and
 /// activity coefficient across every seed. Building a [`LeaderProbs`]
 /// once and driving [`ColumnarSchedule::resample_from_probs`] with it
 /// hoists the `powf` table, its allocation and the stake-partition
-/// validation out of the per-seed loop — the shared-sampling half of
-/// [`BatchExecution`](crate::BatchExecution).
+/// validation out of the per-seed loop of the sweep workers and the
+/// horizon driver.
 ///
 /// The table holds each `φ` as an **integer draw threshold**: a
 /// Bernoulli draw `u` elects exactly when `u >> 11 < threshold`, the
@@ -63,7 +63,7 @@ fn elects(u: u64, threshold: u64) -> bool {
 
 impl LeaderProbs {
     /// Probabilities for **heterogeneous** honest stakes — the cached
-    /// form of the table [`ColumnarSchedule::resample_weighted`] builds
+    /// form of the table [`ColumnarSchedule::sample_weighted`] builds
     /// per call.
     ///
     /// # Panics
@@ -147,10 +147,10 @@ pub struct ColumnarSchedule {
 }
 
 impl ColumnarSchedule {
-    /// An empty (0-slot) schedule — the placeholder batch drivers hold
-    /// before their first [`resample_weighted`] call.
-    ///
-    /// [`resample_weighted`]: ColumnarSchedule::resample_weighted
+    /// An empty (0-slot) schedule — the placeholder a reused schedule
+    /// buffer holds before its first
+    /// [`resample_from_probs`](ColumnarSchedule::resample_from_probs)
+    /// call.
     pub fn empty() -> ColumnarSchedule {
         ColumnarSchedule {
             honest: Vec::new(),
@@ -178,15 +178,10 @@ impl ColumnarSchedule {
         slots: usize,
         seed: u64,
     ) -> ColumnarSchedule {
-        assert!(honest_nodes > 0, "need at least one honest node");
-        let share = (1.0 - adversarial_stake) / honest_nodes as f64;
-        ColumnarSchedule::sample_weighted(
-            &vec![share; honest_nodes],
-            adversarial_stake,
-            active_slot_coeff,
-            slots,
-            seed,
-        )
+        let probs = LeaderProbs::uniform(honest_nodes, adversarial_stake, active_slot_coeff);
+        let mut schedule = ColumnarSchedule::empty();
+        schedule.resample_from_probs(&probs, slots, seed);
+        schedule
     }
 
     /// Samples a schedule with **heterogeneous** honest stake — the
@@ -207,44 +202,18 @@ impl ColumnarSchedule {
         slots: usize,
         seed: u64,
     ) -> ColumnarSchedule {
+        let probs = LeaderProbs::weighted(honest_stakes, adversarial_stake, active_slot_coeff);
         let mut schedule = ColumnarSchedule::empty();
-        schedule.resample_weighted(
-            honest_stakes,
-            adversarial_stake,
-            active_slot_coeff,
-            slots,
-            seed,
-        );
+        schedule.resample_from_probs(&probs, slots, seed);
         schedule
     }
 
-    /// Resamples `self` in place with the same semantics (and draw order)
-    /// as [`ColumnarSchedule::sample_weighted`], reusing the existing
-    /// column allocations — the batch entry point campaign sweeps use to
-    /// run millions of seeds without re-allocating a schedule per trial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters leave their documented ranges, a stake is
-    /// negative, or the stakes do not sum (with the adversary) to 1.
-    pub fn resample_weighted(
-        &mut self,
-        honest_stakes: &[f64],
-        adversarial_stake: f64,
-        active_slot_coeff: f64,
-        slots: usize,
-        seed: u64,
-    ) {
-        let probs = LeaderProbs::weighted(honest_stakes, adversarial_stake, active_slot_coeff);
-        self.resample_from_probs(&probs, slots, seed);
-    }
-
-    /// Resamples `self` in place from a pre-built probability table —
-    /// the seed-loop body of batched sampling, with the `φ` table, its
-    /// allocation and the stake validation hoisted into the caller's
-    /// [`LeaderProbs`]. Draw-for-draw identical to
-    /// [`ColumnarSchedule::resample_weighted`] over the stakes the table
-    /// was built from.
+    /// Resamples `self` in place from a pre-built probability table,
+    /// reusing the existing column allocations — the seed-loop body of a
+    /// campaign's trials, with the `φ` table, its allocation and the
+    /// stake validation hoisted into the caller's [`LeaderProbs`].
+    /// Draw-for-draw identical to [`ColumnarSchedule::sample_weighted`]
+    /// over the stakes the table was built from.
     pub fn resample_from_probs(&mut self, probs: &LeaderProbs, slots: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.resample_segment(probs, slots, &mut rng);
@@ -455,6 +424,29 @@ mod tests {
                 .count()
         };
         assert!(lead_count(0) > lead_count(3));
+    }
+
+    #[test]
+    fn probs_table_matches_per_call_sampling() {
+        let stakes = [0.3, 0.2, 0.15, 0.1, 0.05];
+        let probs = LeaderProbs::weighted(&stakes, 0.2, 0.3);
+        let mut reused = ColumnarSchedule::empty();
+        for seed in [0u64, 3, 17] {
+            reused.resample_from_probs(&probs, 500, seed);
+            let fresh = ColumnarSchedule::sample_weighted(&stakes, 0.2, 0.3, 500, seed);
+            assert_eq!(reused, fresh, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn uniform_probs_match_equal_split() {
+        let probs = LeaderProbs::uniform(5, 0.2, 0.3);
+        let mut sched = ColumnarSchedule::empty();
+        sched.resample_from_probs(&probs, 300, 7);
+        let share = (1.0 - 0.2) / 5.0;
+        let split = ColumnarSchedule::sample_weighted(&[share; 5], 0.2, 0.3, 300, 7);
+        assert_eq!(sched, split);
+        assert_eq!(sched, ColumnarSchedule::sample(5, 0.2, 0.3, 300, 7));
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl ColumnarStore {
     }
 
     /// Resets the store to the genesis-only state, keeping every column
-    /// allocation — the batch-execution reuse hook: a store that has run
-    /// one execution resets in `O(1)` heap traffic for the next seed.
+    /// allocation — the arena-reuse hook: a store that has run one
+    /// execution resets in `O(1)` heap traffic for the next seed.
     pub fn reset(&mut self) {
         self.slot.clear();
         self.issuer.clear();
@@ -173,15 +173,6 @@ impl ColumnarStore {
         self.anc.is_ancestor_or_equal(a as usize, b as usize)
     }
 
-    /// The block at `slot` on the chain ending at `tip`, if any,
-    /// `O(log n)` (slots strictly increase towards the tip).
-    pub fn block_at_slot(&self, tip: u32, slot: usize) -> Option<u32> {
-        let cur = self
-            .anc
-            .last_key_at_most(tip as usize, slot, |i| self.slot[i] as usize);
-        (self.slot[cur] as usize == slot).then_some(cur as u32)
-    }
-
     /// The chain from genesis to `tip`, inclusive.
     pub fn chain(&self, tip: u32) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.height(tip) + 1);
@@ -233,8 +224,6 @@ mod tests {
         assert!(!s.is_honest(c));
         assert_eq!(s.last_common_block(b, c), a);
         assert_eq!(s.chain(b), vec![0, a, b]);
-        assert_eq!(s.block_at_slot(b, 2), Some(b));
-        assert_eq!(s.block_at_slot(c, 2), None);
     }
 
     #[test]
@@ -252,7 +241,6 @@ mod tests {
         let c = s.mint(a, 3, ADVERSARY);
         assert_eq!((a, b, c), (1, 2, 3));
         assert_eq!(s.last_common_block(b, c), a);
-        assert_eq!(s.block_at_slot(b, 2), Some(b));
     }
 
     /// A compacted root reads its absolute height, slot and issuer
@@ -277,11 +265,6 @@ mod tests {
             assert_eq!(DivergenceOps::parent_of(&s, c), b);
             assert!(s.is_honest(b) && !s.is_honest(c));
             assert_eq!(s.chain(c), vec![0, b, c]);
-            assert_eq!(s.block_at_slot(c, 40), Some(0));
-            assert_eq!(s.block_at_slot(c, 42), Some(b));
-            assert_eq!(s.block_at_slot(c, 45), Some(c));
-            assert_eq!(s.block_at_slot(c, 43), None);
-            assert_eq!(s.block_at_slot(b, 45), None);
         }
         // A plain reset forgets the root height.
         s.reset();

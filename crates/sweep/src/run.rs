@@ -9,14 +9,13 @@
 //! every per-cell fold is commutative ([`CellAggregate`]), so 1, 4 and 8
 //! threads produce bit-identical aggregates.
 //!
-//! Each worker owns one [`BatchExecution`] (arena + schedule buffer) and
-//! drives a whole trial chunk through it at once: the `φ(stake)` table
-//! is built once per chunk ([`LeaderProbs`]), the schedule is resampled
-//! in place per seed, and every execution streams through the reused
-//! arena. Memory stays bounded by `O(threads · arena + cells ·
-//! aggregate)` — independent of the trial count — and by the batch law
-//! (see `multihonest_scenario::batch`) the aggregates are identical to
-//! one-trial-at-a-time execution.
+//! Each worker owns one [`ExecutionArena`] and one [`ColumnarSchedule`]
+//! and runs a unit's trials as a plain loop: resample the schedule in
+//! place from the unit's [`LeaderProbs`], run a fresh strategy through
+//! the reused arena, fold the outcome into the unit's [`CellAggregate`].
+//! Memory stays bounded by `O(threads · arena + cells · aggregate)`,
+//! whatever the trial count, and by the batch law
+//! (`tests/batch_execution.rs`) the aggregates equal those of fresh runs.
 //!
 //! When a checkpoint path is set, the worker that lands a cell's **last**
 //! chunk flushes a [`Checkpoint`] of all completed cells (atomic
@@ -33,7 +32,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use multihonest_obs::{Heartbeat, ObsRecorder};
-use multihonest_scenario::{BatchExecution, LeaderProbs};
+use multihonest_scenario::{ColumnarSchedule, ColumnarSimulation, ExecutionArena, LeaderProbs};
 
 use crate::aggregate::CellAggregate;
 use crate::checkpoint::{Checkpoint, CompletedCell};
@@ -185,7 +184,8 @@ pub fn run_campaign_observed(
     let worker = || {
         let tid = worker_id.fetch_add(1, Ordering::Relaxed);
         let mut rec = shard_proto.as_ref().map(|p| p.shard(tid as u32 + 1));
-        let mut batch = BatchExecution::new();
+        let mut arena = ExecutionArena::new();
+        let mut schedule = ColumnarSchedule::empty();
         loop {
             if stop.load(Ordering::Acquire) {
                 break;
@@ -209,23 +209,21 @@ pub fn run_campaign_observed(
             let probs =
                 LeaderProbs::weighted(&stakes, spec.adversarial_stake, spec.active_slot_coeff);
             let mut chunk = CellAggregate::new(num_ks);
-            batch.run(
-                &config,
-                &probs,
-                &plan,
-                (start..end).map(|trial| spec.trial_seed(cell_index, trial)),
-                |_| cell.strategy.instantiate(),
-                |out| {
-                    chunk.record(
-                        out.seed,
-                        &out.metrics,
-                        &out.divergence,
-                        &spec.ks,
-                        spec.slots,
-                    );
-                    chunk.record_faults(&out.ledger);
-                },
-            );
+            for trial in start..end {
+                let seed = spec.trial_seed(cell_index, trial);
+                schedule.resample_from_probs(&probs, config.slots, seed);
+                let mut strategy = cell.strategy.instantiate();
+                let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_faults_in(
+                    &mut arena,
+                    &config,
+                    &schedule,
+                    strategy.as_mut(),
+                    &plan,
+                    &mut (),
+                );
+                chunk.record(seed, &metrics, &divergence, &spec.ks, spec.slots);
+                chunk.record_faults(&ledger);
+            }
             executions_run.fetch_add(end - start, Ordering::Relaxed);
             if let Some(r) = rec.as_mut() {
                 use multihonest_obs::Recorder as _;
