@@ -17,7 +17,9 @@
 //! * the consistency index is folded **online** through the shared
 //!   [`DivergenceFold`], and metrics stream through
 //!   [`MetricsSink`]/[`MetricsAccumulator`] — a streaming run retains no
-//!   per-slot state at all.
+//!   per-slot state at all. The slot loop reaches both through one
+//!   compile-time observer seam, so the validated pipeline can fold
+//!   them on another thread.
 //!
 //! Both engines drive the *same* [`AdversaryStrategy`] objects through
 //! their own [`SlotContext`]s, and both contexts clamp honest deliveries
@@ -29,15 +31,15 @@
 //! bit-identical-trace guarantee that `tests/scenario_engine.rs` enforces
 //! against the reference.
 
-use multihonest_sim::consistency::{DivergenceFold, DivergenceIndex};
+use multihonest_sim::consistency::{DivergenceFold, DivergenceIndex, DivergenceOps};
 use multihonest_sim::fault::{DegradationLedger, DeliveryMeta, FaultPlan, FaultRuntime};
-use multihonest_sim::metrics::{Metrics, MetricsAccumulator, MetricsSink, TeeSink};
+use multihonest_sim::metrics::{Metrics, MetricsAccumulator, MetricsSink};
 use multihonest_sim::strategy::{AdversaryStrategy, SlotContext};
 use multihonest_sim::{BlockId, SimConfig, TieBreak};
 
 use multihonest_obs::Recorder;
 
-use crate::ring::DeliveryRing;
+use crate::ring::{expand_broadcasts, DeliveryRing, ALL};
 use crate::schedule::ColumnarSchedule;
 use crate::store::{ColumnarStore, ADVERSARY};
 
@@ -131,30 +133,184 @@ impl SlotContext for ColumnarSlotContext<'_> {
     }
 }
 
-/// A per-slot observer threaded through the columnar engine loop — the
-/// attachment point of the streaming fork pipeline ([`crate::pipeline`]),
-/// which wants the block arena slot by slot instead of post-hoc.
+/// The slot kernel's one observer seam, chosen at compile time: every
+/// observation [`run_slots`] makes — the divergence fold's inputs and
+/// the sink's events — goes through it, and nothing else does.
+/// [`Inline`] folds them on the kernel thread (plain, campaign and
+/// horizon runs); the validated pipeline ([`crate::pipeline`]) records
+/// them into its hand-off batch and folds them on the `fork-fold`
+/// thread, over the fork it builds there.
 ///
-/// [`on_slot_end`](SlotHook::on_slot_end) fires once per slot, after the
-/// slot's minting, adversarial moves, deliveries and metrics fold: the
-/// store contains every block minted up to and including `slot`, and the
-/// hook may emit derived observations through the sink (which is why the
-/// sink is passed in rather than captured — the engine and the hook share
-/// it without a double borrow). The hook reads the store, which no
-/// [`MetricsSink`] callback carries, so it cannot be a sink decorator.
-///
-/// The trait is generic over the sink so hook implementations can call
-/// statically-dispatched sink methods; `()` is the no-op hook every
-/// plain entry point uses, costing nothing in the loop.
-pub(crate) trait SlotHook<S: MetricsSink> {
-    /// Observes the end of `slot` (1-based).
-    fn on_slot_end(&mut self, slot: usize, store: &ColumnarStore, sink: &mut S);
+/// Per slot the kernel calls, in order: `fault_deferral` and then
+/// `rollback` zero or more times each, exactly one of `tips_unchanged`,
+/// `fresh_child` and `tips`, then `slot_end`.
+pub(crate) trait SlotObserver {
+    /// A fault plan parked a delivery for `recipient` until
+    /// `deferred_to` ([`MetricsSink::on_fault_deferral`]).
+    fn fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize);
+
+    /// An honest node moved from `old` to the non-descendant `new`.
+    /// `fold` is set once per distinct move of the slot at least: the
+    /// fold's rollback update is idempotent for an equal `(slot, old,
+    /// new)`, the sink's event is not.
+    fn rollback(&mut self, store: &ColumnarStore, slot: usize, old: u32, new: u32, fold: bool);
+
+    /// The distinct honest tips are those of the previous slot.
+    fn tips_unchanged(&mut self, slot: usize);
+
+    /// The distinct honest tips are `{parent, child}`: one fresh honest
+    /// block on the previous slot's unanimous tip.
+    fn fresh_child(&mut self, slot: usize, parent: u32, child: u32);
+
+    /// The distinct honest tips changed to `tips` (id-sorted).
+    fn tips(&mut self, store: &ColumnarStore, slot: usize, tips: &[u32]);
+
+    /// The end of `slot`: `store` holds every block minted up to it.
+    fn slot_end(&mut self, store: &ColumnarStore, slot: usize);
 }
 
-/// The no-op hook: plain runs pay nothing per slot.
-impl<S: MetricsSink> SlotHook<S> for () {
+/// The block-tree queries the observers need: the divergence fold's
+/// [`DivergenceOps`] plus block heights. The kernel's [`ColumnarStore`]
+/// answers them, and so does the pipeline's view of the fork it builds,
+/// whose vertex ids are the block ids.
+pub(crate) trait ChainView: DivergenceOps {
+    /// The chain height of block `b`.
+    fn height_of(&self, b: u32) -> usize;
+}
+
+impl ChainView for ColumnarStore {
     #[inline]
-    fn on_slot_end(&mut self, _slot: usize, _store: &ColumnarStore, _sink: &mut S) {}
+    fn height_of(&self, b: u32) -> usize {
+        self.height(b)
+    }
+}
+
+/// The observer-side state of one execution: the online divergence
+/// fold, the metrics accumulator and the cached end-of-slot observation
+/// (distinct-tip count, best height, slot divergence) that quiet slots
+/// replay. [`Inline`] drives it on the kernel thread; the validated
+/// pipeline drives the same methods on the `fork-fold` thread.
+pub(crate) struct SlotFold {
+    pub(crate) fold: DivergenceFold,
+    pub(crate) acc: MetricsAccumulator,
+    tips: usize,
+    height: usize,
+    pub(crate) div: usize,
+}
+
+impl SlotFold {
+    /// State over `fold` and `acc` whose last observation was one
+    /// unanimous tip at `height` (genesis at 0, or a compacted root).
+    pub(crate) fn new(fold: DivergenceFold, acc: MetricsAccumulator, height: usize) -> SlotFold {
+        SlotFold {
+            fold,
+            acc,
+            tips: 1,
+            height,
+            div: 0,
+        }
+    }
+
+    /// `nodes` honest nodes moved from `old` to the non-descendant
+    /// `new`: one `on_rollback` each, and one fold update if `fold`.
+    #[inline]
+    pub(crate) fn rollback<V: ChainView, S: MetricsSink>(
+        &mut self,
+        view: &V,
+        sink: &mut S,
+        slot: usize,
+        (old, new, nodes): (u32, u32, usize),
+        fold: bool,
+    ) {
+        if fold {
+            self.fold.observe_rollback(view, slot, old, new);
+        }
+        let (from, to) = (view.height_of(old), view.height_of(new));
+        for _ in 0..nodes {
+            self.acc.on_rollback(slot, from, to);
+            sink.on_rollback(slot, from, to);
+        }
+    }
+
+    /// The distinct tips became `{parent, child}` (see
+    /// [`SlotObserver::fresh_child`]).
+    #[inline]
+    pub(crate) fn fresh_child(&mut self, slot: usize, parent: u32, child: u32) {
+        self.tips = 2;
+        self.height += 1;
+        self.div = 0;
+        self.fold.observe_fresh_child(slot, parent, child, slot);
+    }
+
+    /// The distinct tips became `tips`, the tallest at `height`.
+    #[inline]
+    pub(crate) fn tips<V: ChainView>(
+        &mut self,
+        view: &V,
+        slot: usize,
+        tips: &[u32],
+        height: usize,
+    ) {
+        self.tips = tips.len();
+        self.height = height;
+        self.div = self.fold.observe_tips_divergence(view, slot, tips);
+    }
+
+    /// Ends `slot`: one `on_slot` with the cached observation.
+    #[inline]
+    pub(crate) fn slot_end<S: MetricsSink>(&mut self, sink: &mut S, slot: usize) {
+        self.acc.on_slot(slot, self.tips, self.height, self.div);
+        sink.on_slot(slot, self.tips, self.height, self.div);
+    }
+}
+
+/// The inline observer: folds every observation into a [`SlotFold`] and
+/// the caller's sink on the kernel thread.
+pub(crate) struct Inline<'a, S> {
+    pub(crate) state: &'a mut SlotFold,
+    pub(crate) sink: &'a mut S,
+}
+
+impl<S: MetricsSink> SlotObserver for Inline<'_, S> {
+    #[inline]
+    fn fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize) {
+        self.sink.on_fault_deferral(slot, recipient, deferred_to);
+    }
+
+    #[inline]
+    fn rollback(&mut self, store: &ColumnarStore, slot: usize, old: u32, new: u32, fold: bool) {
+        self.state
+            .rollback(store, self.sink, slot, (old, new, 1), fold);
+    }
+
+    #[inline]
+    fn tips_unchanged(&mut self, slot: usize) {
+        self.state.fold.observe_tips_unchanged(slot);
+    }
+
+    #[inline]
+    fn fresh_child(&mut self, slot: usize, parent: u32, child: u32) {
+        self.state.fresh_child(slot, parent, child);
+    }
+
+    #[inline]
+    fn tips(&mut self, store: &ColumnarStore, slot: usize, tips: &[u32]) {
+        self.state.tips(store, slot, tips, best_height(store, tips));
+    }
+
+    #[inline]
+    fn slot_end(&mut self, _store: &ColumnarStore, slot: usize) {
+        self.state.slot_end(self.sink, slot);
+    }
+}
+
+/// Forwards a fault runtime's deferral events to an observer.
+struct Deferrals<'a, O>(&'a mut O);
+
+impl<O: SlotObserver> MetricsSink for Deferrals<'_, O> {
+    fn on_fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize) {
+        self.0.fault_deferral(slot, recipient, deferred_to);
+    }
 }
 
 /// The longest-chain rule of one columnar honest node: the tip a node
@@ -190,6 +346,12 @@ fn receive(store: &ColumnarStore, tie_break: TieBreak, tip: u32, block: u32) -> 
     }
 }
 
+/// The tallest of `tips`.
+#[inline]
+pub(crate) fn best_height(store: &ColumnarStore, tips: &[u32]) -> usize {
+    tips.iter().map(|&t| store.height(t)).max().unwrap_or(0)
+}
+
 /// Whether a node that moved from `old` to `new` rolled back: `new` does
 /// not extend `old`. Adoption only ever raises height, and the dominant
 /// case is adopting a direct child of the old tip, so one parent load
@@ -199,18 +361,11 @@ fn rolls_back(store: &ColumnarStore, old: u32, new: u32) -> bool {
     new != old && store.parent(new) != Some(old) && !store.is_ancestor(old, new)
 }
 
-/// Whether `due` is a **full broadcast**: `m ≥ 1` blocks, each delivered
-/// to recipients `0..n` in ascending order — the shape the batched
-/// `deliver_*_to_all` scheduling produces.
-fn is_full_broadcast(due: &[(u32, u32)], n: usize) -> bool {
-    !due.is_empty()
-        && due.len().is_multiple_of(n)
-        && due.chunks_exact(n).all(|list| {
-            let block = list[0].1;
-            list.iter()
-                .enumerate()
-                .all(|(i, &(r, b))| r as usize == i && b == block)
-        })
+/// Whether `due` is a **full broadcast**: `m ≥ 1` blocks, each for every
+/// honest node — only the [`ALL`] entries the batched
+/// `deliver_*_to_all` scheduling lands.
+fn is_full_broadcast(due: &[(u32, u32)]) -> bool {
+    !due.is_empty() && due.iter().all(|&(r, _)| r == ALL)
 }
 
 /// A finished columnar execution with full traces retained — the
@@ -309,21 +464,23 @@ impl ColumnarSimulation {
         rec: &mut R,
     ) -> (ColumnarSimulation, DegradationLedger) {
         let mut arena = ExecutionArena::new();
-        let core = EngineCore::new(config, plan, true);
+        let mut core = EngineCore::new(config, plan, true);
         rec.span_begin("scenario.execute");
-        let out = execute(&mut arena, core, config, schedule, strategy, sink, &mut ());
+        let (metrics, divergence) =
+            execute_inline(&mut arena, &mut core, config, schedule, strategy, sink);
         rec.span_end("scenario.execute");
+        let ledger = core.faults.finish();
         (
             ColumnarSimulation {
                 config: *config,
                 store: arena.store,
-                tips_flat: out.tips_flat,
-                tips_end: out.tips_end,
-                rollbacks: out.rollbacks,
-                divergence: out.divergence,
-                metrics: out.metrics,
+                tips_flat: core.tips_flat,
+                tips_end: core.tips_end,
+                rollbacks: core.rollbacks,
+                divergence,
+                metrics,
             },
-            out.ledger,
+            ledger,
         )
     }
 
@@ -365,9 +522,10 @@ impl ColumnarSimulation {
         plan: &FaultPlan,
         sink: &mut S,
     ) -> (Metrics, DivergenceIndex, DegradationLedger) {
-        let core = EngineCore::new(config, plan, false);
-        let out = execute(arena, core, config, schedule, strategy, sink, &mut ());
-        (out.metrics, out.divergence, out.ledger)
+        let mut core = EngineCore::new(config, plan, false);
+        let (metrics, divergence) =
+            execute_inline(arena, &mut core, config, schedule, strategy, sink);
+        (metrics, divergence, core.faults.finish())
     }
 
     /// The configuration used.
@@ -544,90 +702,53 @@ impl ExecutionArena {
     }
 }
 
-/// The per-run outputs of [`execute`] (the block store stays in the
-/// arena; trace columns are empty in streaming mode).
-pub(crate) struct ExecOutput {
-    pub(crate) tips_flat: Vec<u32>,
-    pub(crate) tips_end: Vec<u32>,
-    pub(crate) rollbacks: Vec<(u32, u32, u32)>,
-    pub(crate) divergence: DivergenceIndex,
-    pub(crate) metrics: Metrics,
-    pub(crate) ledger: DegradationLedger,
-}
-
-/// The per-run mutable state of one execution that is **not** the
-/// arena: the slot cursor, the online divergence fold, the metrics
-/// accumulator, the fault plan's runtime, the rollback record and trace
-/// columns of trace-retaining mode, and the cached end-of-slot
-/// observation the quiet paths replay. Callers of [`execute`] build one
-/// per run; the horizon driver keeps one alive across segments and
-/// compacts its fold at settled points.
+/// The kernel-side mutable state of one execution that is **not** the
+/// arena: the slot cursor, the fault plan's runtime, and the rollback
+/// record and trace columns of trace-retaining mode. The observer side
+/// (fold, accumulator, cached observation) is a [`SlotFold`] behind the
+/// run's [`SlotObserver`]. Callers of [`execute`] build one per run; the
+/// horizon driver keeps one alive across segments.
 pub(crate) struct EngineCore<'p> {
     /// Slots executed so far: [`run_slots`] continues at `done + 1`.
     pub(crate) done: usize,
-    pub(crate) fold: DivergenceFold,
-    pub(crate) acc: MetricsAccumulator,
     pub(crate) faults: FaultRuntime<'p>,
     /// Whether the run retains the tip trace and rollback record.
     pub(crate) keep_trace: bool,
     pub(crate) rollbacks: Vec<(u32, u32, u32)>,
     pub(crate) tips_flat: Vec<u32>,
     pub(crate) tips_end: Vec<u32>,
-    /// Best height of the cached observation (whose distinct tips are
-    /// the arena's `uniq`).
-    pub(crate) cached_height: usize,
-    /// Slot divergence of the cached observation.
-    pub(crate) cached_div: usize,
 }
 
 impl<'p> EngineCore<'p> {
-    /// State for a fresh full-horizon execution under `plan`: a fold over
-    /// `1..=config.slots` and every cache at its slot-0 value (all nodes
-    /// on genesis).
+    /// State for a fresh execution under `plan`, at slot 0.
     pub(crate) fn new(config: &SimConfig, plan: &'p FaultPlan, keep_trace: bool) -> EngineCore<'p> {
-        EngineCore::with_fold(DivergenceFold::new(config.slots), config, plan, keep_trace)
-    }
-
-    /// State over a caller-built fold (the horizon driver passes a
-    /// windowed one).
-    pub(crate) fn with_fold(
-        fold: DivergenceFold,
-        config: &SimConfig,
-        plan: &'p FaultPlan,
-        keep_trace: bool,
-    ) -> EngineCore<'p> {
         let mut tips_end = Vec::with_capacity(if keep_trace { config.slots + 1 } else { 1 });
         tips_end.push(0);
         EngineCore {
             done: 0,
-            fold,
-            acc: MetricsAccumulator::new(),
             faults: FaultRuntime::new(plan, config.honest_nodes, config.slots),
             keep_trace,
             rollbacks: Vec::new(),
             tips_flat: Vec::new(),
             tips_end,
-            cached_height: 0,
-            cached_div: 0,
         }
     }
 }
 
 /// Resets `arena` and runs one whole execution — `schedule` covers
-/// `config.slots` — with the caller-built per-run state `core`, then
-/// folds the end-of-run state into its output: the best-tip chain walk
-/// down to genesis, the fold's final index and the fault ledger. The
-/// horizon driver has its own finish (evicted-prefix counters plus a
-/// windowed fold drain).
-pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
+/// `config.slots` — with the caller-built per-run state `core`,
+/// reporting to `obs`. The caller finishes the observer side and reads
+/// the end-of-run chain off the arena ([`run_metrics`]); the horizon
+/// driver has its own finish (evicted-prefix counters plus a windowed
+/// fold drain).
+pub(crate) fn execute<O: SlotObserver>(
     arena: &mut ExecutionArena,
-    mut core: EngineCore<'_>,
+    core: &mut EngineCore<'_>,
     config: &SimConfig,
     schedule: &ColumnarSchedule,
     strategy: &mut dyn AdversaryStrategy,
-    sink: &mut S,
-    hook: &mut H,
-) -> ExecOutput {
+    obs: &mut O,
+) {
     assert_eq!(
         schedule.len(),
         config.slots,
@@ -636,24 +757,48 @@ pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
     // Expected blocks ≈ one per leader flag; reserve with headroom.
     let expected = schedule.active_slots() + schedule.len() / 8 + 16;
     arena.reset(config, strategy.lookahead(config.delta), expected);
-    run_slots(arena, &mut core, config, schedule, strategy, sink, hook);
+    run_slots(arena, core, config, schedule, strategy, obs);
+}
+
+/// The [`Metrics`] of a finished whole execution: the observers'
+/// accumulator and settlement index with the best-tip chain walk over
+/// the kernel's arena.
+pub(crate) fn run_metrics(
+    acc: MetricsAccumulator,
+    arena: &ExecutionArena,
+    schedule: &ColumnarSchedule,
+    divergence: &DivergenceIndex,
+) -> Metrics {
     let (best_tip, chain_blocks, honest_chain_blocks) = arena.best_chain();
-    let divergence = core.fold.finish();
-    let metrics = core.acc.finish(
+    acc.finish(
         schedule.active_slots(),
         arena.store.height(best_tip),
         chain_blocks,
         honest_chain_blocks,
         divergence.max_settlement_lag(),
-    );
-    ExecOutput {
-        tips_flat: core.tips_flat,
-        tips_end: core.tips_end,
-        rollbacks: core.rollbacks,
-        divergence,
-        metrics,
-        ledger: core.faults.finish(),
-    }
+    )
+}
+
+/// [`execute`] with the [`Inline`] observer over a fresh full-horizon
+/// fold: the run's metrics and settlement index.
+fn execute_inline<S: MetricsSink>(
+    arena: &mut ExecutionArena,
+    core: &mut EngineCore<'_>,
+    config: &SimConfig,
+    schedule: &ColumnarSchedule,
+    strategy: &mut dyn AdversaryStrategy,
+    sink: &mut S,
+) -> (Metrics, DivergenceIndex) {
+    let fold = DivergenceFold::new(config.slots);
+    let mut state = SlotFold::new(fold, MetricsAccumulator::new(), 0);
+    let mut obs = Inline {
+        state: &mut state,
+        sink,
+    };
+    execute(arena, core, config, schedule, strategy, &mut obs);
+    let divergence = state.fold.finish();
+    let metrics = run_metrics(state.acc, arena, schedule, &divergence);
+    (metrics, divergence)
 }
 
 /// The engine loop shared by the trace-retaining and streaming modes.
@@ -666,24 +811,27 @@ pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
 /// 1. *passive-quiet*: a passive strategy, no leader, nothing due —
 ///    no context, no strategy dispatch, no drain;
 /// 2. *quiet*: nothing minted and nothing due after the drain — every
-///    tip, and so the distinct-tip set, best height, slot divergence and
-///    rollback record, is provably unchanged;
+///    tip, and so the distinct-tip set and rollback record, is provably
+///    unchanged;
 /// 3. *single-mint*: one fresh block on the unanimous tip, nothing due —
 ///    the views split into `{parent, child}` structurally;
-/// 4. *general*: deliveries resolved once per starting tip when the due
-///    list is a full broadcast (else one `receive` per delivery), then
-///    the unanimous check, else sort, dedup and one fold walk
-///    ([`DivergenceFold::observe_tips_divergence`]) for the divergence
-///    and the diverging anchors.
+/// 4. *general*: a **full broadcast** — a due list of only the ring's
+///    [`ALL`] entries, one per block — is resolved once per starting
+///    tip, and the distinct tips are the few tip groups' final tips;
+///    any other due list (per-recipient entries, a broadcast sharing a
+///    bucket with them, or anything under a non-empty fault plan) is
+///    expanded to recipients in ascending order and applied with one
+///    `receive` per delivery, then the distinct tips come from the
+///    unanimous check, else a sort and dedup of every node's tip.
 ///
-/// Every path leaves the observation in the arena's `uniq` and `core`'s
-/// `cached_height` / `cached_div`, feeds the fold, and
-/// falls through to the single epilogue: one `on_slot`, one trace push,
-/// one `hook.on_slot_end`. The paths are therefore invisible to every
-/// observer — bit-identical traces, metrics, fold state and hook
-/// observations. Under sparse leader schedules (`f` well below 1) the
-/// quiet paths cover the majority of slots, which is where the columnar
-/// engine's throughput comes from.
+/// Every path reports to the observer `obs` (the one [`SlotObserver`]
+/// seam) and leaves the distinct tips in the arena's `uniq`, then falls
+/// through to the single epilogue: one trace push and one
+/// `obs.slot_end`. The paths are therefore invisible to every observer —
+/// bit-identical traces, metrics, fold state and sink events. Under
+/// sparse leader schedules (`f` well below 1) the quiet paths cover the
+/// majority of slots, which is where the columnar engine's throughput
+/// comes from.
 ///
 /// `run_slots` executes the `schedule.len()` slots after `core.done`
 /// (`schedule` covers exactly those, 1-based) and advances the cursor,
@@ -693,14 +841,13 @@ pub(crate) fn execute<S: MetricsSink, H: SlotHook<S>>(
 /// absolute throughout (strategies, the ring, the fold and every sink
 /// see the global slot clock), so a segmented run is
 /// observation-identical to a monolithic one.
-pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
+pub(crate) fn run_slots<O: SlotObserver>(
     arena: &mut ExecutionArena,
     core: &mut EngineCore<'_>,
     config: &SimConfig,
     schedule: &ColumnarSchedule,
     strategy: &mut dyn AdversaryStrategy,
-    sink: &mut S,
-    hook: &mut H,
+    obs: &mut O,
 ) {
     let n = config.honest_nodes;
     assert!(n > 0, "need at least one honest node");
@@ -716,15 +863,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
     } = arena;
     let EngineCore {
         done,
-        fold,
-        acc,
         faults,
         keep_trace,
         rollbacks,
         tips_flat,
         tips_end,
-        cached_height,
-        cached_div,
     } = core;
     let keep_trace = *keep_trace;
     let have_faults = !faults.is_empty();
@@ -749,7 +892,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             {
                 // Fully quiet slot: nothing minted, nothing due, strategy
                 // provably inert — replay the cached observation.
-                fold.observe_tips_unchanged(slot);
+                obs.tips_unchanged(slot);
                 break 'path;
             }
             minted.clear();
@@ -780,13 +923,11 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
             // 3. Drain this slot's deliveries — filtered through the
             //    fault plan when one is active (which may also re-inject
             //    previously deferred deliveries, so the plan runs even on
-            //    empty drains).
+            //    empty drains). The plan filters per recipient, so its
+            //    broadcasts are expanded first.
             ring.drain_into(slot, due);
-            let mut tee = TeeSink {
-                a: &mut *acc,
-                b: &mut *sink,
-            };
             if have_faults {
+                expand_broadcasts(due, n);
                 faults.apply(
                     slot,
                     due,
@@ -795,43 +936,40 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                         honest: store.is_honest(b),
                         broadcast_slot: store.slot(b),
                     },
-                    &mut tee,
+                    &mut Deferrals(&mut *obs),
                 );
             }
             if due.is_empty() && minted.is_empty() {
                 // Quiet slot: no receive() ran, so every tip is
                 // unchanged. Replay the cached observation and keep the
                 // fold's run open.
-                fold.observe_tips_unchanged(slot);
+                obs.tips_unchanged(slot);
                 break 'path;
             }
             // 4. Apply due deliveries in scheduled order, recording chain
             //    rollbacks (only deliveries can cause them: minting
             //    extends the minter's own chain) per node in ascending
             //    order.
-            if is_full_broadcast(due, n) {
+            let broadcast = is_full_broadcast(due);
+            if broadcast {
                 // Every node receives the same blocks in the same
                 // order, and `receive` is a pure function of (tip,
                 // block), so a node's final tip depends only on its
-                // starting tip: fold the blocks, run the rollback test and
-                // feed the fold once per distinct starting tip (the fold
-                // update is idempotent for an equal `(slot, old, new)`).
+                // starting tip: fold the blocks and run the rollback
+                // test once per distinct starting tip, and feed the fold
+                // once per group.
                 groups.clear();
                 for tip in tips.iter_mut() {
                     let old = *tip;
-                    let (_, new, rolled) = match groups.iter().find(|g| g.0 == old) {
-                        Some(&group) => group,
+                    let (new, rolled, first) = match groups.iter().find(|g| g.0 == old) {
+                        Some(&(_, new, rolled)) => (new, rolled, false),
                         None => {
                             let new = due
                                 .iter()
-                                .step_by(n)
                                 .fold(old, |t, &(_, b)| receive(store, config.tie_break, t, b));
                             let rolled = rolls_back(store, old, new);
-                            if rolled {
-                                fold.observe_rollback(store, slot, old, new);
-                            }
                             groups.push((old, new, rolled));
-                            (old, new, rolled)
+                            (new, rolled, true)
                         }
                     };
                     *tip = new;
@@ -839,12 +977,13 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                         if keep_trace {
                             rollbacks.push((slot as u32, old, new));
                         }
-                        tee.on_rollback(slot, store.height(old), store.height(new));
+                        obs.rollback(store, slot, old, new, first);
                     }
                 }
             } else if !due.is_empty() {
-                // Balance-attack routing and fault-filtered lists: one
-                // `receive` per delivery.
+                // Balance-attack routing, mixed buckets and
+                // fault-filtered lists: one `receive` per delivery.
+                expand_broadcasts(due, n);
                 before.copy_from_slice(tips);
                 for &(recipient, block) in due.iter() {
                     let r = recipient as usize;
@@ -855,8 +994,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                         if keep_trace {
                             rollbacks.push((slot as u32, old, new));
                         }
-                        fold.observe_rollback(store, slot, old, new);
-                        tee.on_rollback(slot, store.height(old), store.height(new));
+                        obs.rollback(store, slot, old, new, true);
                     }
                 }
             }
@@ -871,7 +1009,7 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                     );
                 }
             }
-            // 5. Fold the distinct honest views.
+            // 5. Observe the distinct honest views.
             //
             // Single-mint fast case: one fresh honest block on the
             // previous slot's unanimous tip (no deliveries) splits the
@@ -884,38 +1022,38 @@ pub(crate) fn run_slots<S: MetricsSink, H: SlotHook<S>>(
                 let parent = uniq[0];
                 debug_assert_eq!(store.parent(child), Some(parent));
                 uniq.push(child);
-                *cached_height += 1;
-                *cached_div = 0;
-                fold.observe_fresh_child(slot, parent, child, slot);
+                obs.fresh_child(slot, parent, child);
                 break 'path;
             }
-            // The unanimous case (every node on one tip — the common case
-            // between forks) needs no sort and no walk.
-            let first = tips[0];
             uniq.clear();
-            if tips.iter().all(|&t| t == first) {
-                uniq.push(first);
-                *cached_height = store.height(first);
+            if broadcast {
+                // Every node's final tip is its group's.
+                uniq.extend(groups.iter().map(|g| g.1));
+                if uniq.len() > 1 {
+                    uniq.sort_unstable();
+                    uniq.dedup();
+                }
             } else {
-                uniq.extend_from_slice(tips);
-                uniq.sort_unstable();
-                uniq.dedup();
-                *cached_height = uniq.iter().map(|&t| store.height(t)).max().unwrap_or(0);
+                // The unanimous case (every node on one tip — the common
+                // case between forks) needs no sort.
+                let first = tips[0];
+                if tips.iter().all(|&t| t == first) {
+                    uniq.push(first);
+                } else {
+                    uniq.extend_from_slice(tips);
+                    uniq.sort_unstable();
+                    uniq.dedup();
+                }
             }
-            *cached_div = fold.observe_tips_divergence(store, slot, uniq);
+            obs.tips(store, slot, uniq);
         }
-        // The one epilogue: every path above left this slot's
-        // observation in the caches and `uniq`.
-        TeeSink {
-            a: &mut *acc,
-            b: &mut *sink,
-        }
-        .on_slot(slot, uniq.len(), *cached_height, *cached_div);
+        // The one epilogue: every path above left this slot's distinct
+        // tips in `uniq`.
         if keep_trace {
             tips_flat.extend_from_slice(uniq);
             tips_end.push(tips_flat.len() as u32);
         }
-        hook.on_slot_end(slot, store, sink);
+        obs.slot_end(store, slot);
     }
     *done = base + schedule.len();
 }
@@ -1033,6 +1171,18 @@ mod tests {
     /// reference engine under the same plan — including the degradation
     /// ledgers.
     fn assert_faulty_matches_reference(config: &SimConfig, plan: &FaultPlan, seed: u64) {
+        let mut make = || config.strategy.instantiate();
+        assert_strategy_matches_reference(config, plan, seed, &mut make);
+    }
+
+    /// [`assert_faulty_matches_reference`] for any strategy: `make`
+    /// builds one instance per engine.
+    fn assert_strategy_matches_reference(
+        config: &SimConfig,
+        plan: &FaultPlan,
+        seed: u64,
+        make: &mut dyn FnMut() -> Box<dyn AdversaryStrategy>,
+    ) {
         let cs = ColumnarSchedule::sample(
             config.honest_nodes,
             config.adversarial_stake,
@@ -1047,10 +1197,10 @@ mod tests {
             config.slots,
             seed,
         );
-        let mut s1 = config.strategy.instantiate();
+        let mut s1 = make();
         let (cols, cl) =
             ColumnarSimulation::run_with_schedule_faults(config, &cs, s1.as_mut(), plan);
-        let mut s2 = config.strategy.instantiate();
+        let mut s2 = make();
         let (refr, rl) = Simulation::run_with_schedule_faults(config, rs, s2.as_mut(), plan);
         for t in 0..=config.slots {
             let expect: Vec<u32> = refr.tips_at(t).iter().map(|b| b.index() as u32).collect();
@@ -1148,6 +1298,91 @@ mod tests {
         assert_eq!(tl, sl, "ledgers across modes");
         assert_eq!(deferrals, sl.deferred, "sink sees every deferral");
         assert!(deferrals > 0, "the partition must bite");
+    }
+
+    /// Schedules broadcasts and per-recipient deliveries into one
+    /// bucket: each slot's honest blocks go to everyone and, on odd
+    /// slots, once more to a single node, and a private adversarial
+    /// chain is broadcast once it is at least as tall as the best honest
+    /// block — all due at the next slot, in that order. Counts the slots
+    /// whose bucket mixes the two kinds.
+    struct MixedBuckets {
+        best: BlockId,
+        private: Option<BlockId>,
+        mixed: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl AdversaryStrategy for MixedBuckets {
+        fn name(&self) -> &'static str {
+            "mixed-buckets"
+        }
+
+        fn on_slot(&mut self, ctx: &mut dyn SlotContext, minted: &[BlockId]) {
+            let (slot, due) = (ctx.slot(), ctx.slot() + 1);
+            for &b in minted {
+                if ctx.height_of(b) > ctx.height_of(self.best) {
+                    self.best = b;
+                }
+            }
+            if ctx.adversarial_leader() {
+                let parent = self
+                    .private
+                    .or_else(|| ctx.parent_of(self.best))
+                    .unwrap_or(BlockId::GENESIS);
+                self.private = Some(ctx.mint_adversarial(parent));
+            }
+            let single = slot % 2 == 1 && !minted.is_empty();
+            for &b in minted {
+                ctx.deliver_honest_to_all(due, b);
+                if single {
+                    ctx.deliver_honest(due, slot % ctx.honest_nodes(), b);
+                }
+            }
+            if let Some(a) = self.private {
+                if ctx.height_of(a) >= ctx.height_of(self.best) {
+                    ctx.deliver_adversarial_to_all(due, a);
+                    self.private = None;
+                    if single {
+                        self.mixed.set(self.mixed.get() + 1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_broadcast_buckets_match_reference() {
+        let mut config = cfg(Strategy::Honest, 2, 400);
+        config.adversarial_stake = 0.4;
+        let partition = FaultPlan::new().with(FaultDirective::Partition {
+            groups: vec![vec![0, 1, 2], vec![3, 4, 5]],
+            start: 100,
+            heal_slot: 106,
+        });
+        let mixed = std::rc::Rc::new(std::cell::Cell::new(0));
+        for plan in [FaultPlan::default(), partition] {
+            for seed in [3, 19] {
+                let mut make = || -> Box<dyn AdversaryStrategy> {
+                    Box::new(MixedBuckets {
+                        best: BlockId::GENESIS,
+                        private: None,
+                        mixed: mixed.clone(),
+                    })
+                };
+                assert_strategy_matches_reference(&config, &plan, seed, &mut make);
+            }
+        }
+        assert!(mixed.get() > 0, "some bucket must mix both kinds");
+        // The buckets do move tips: the same runs roll nodes back.
+        let schedule = ColumnarSchedule::sample(6, 0.4, 0.3, 400, 3);
+        let mut strategy = MixedBuckets {
+            best: BlockId::GENESIS,
+            private: None,
+            mixed,
+        };
+        let (metrics, _) =
+            ColumnarSimulation::run_streaming(&config, &schedule, &mut strategy, &mut ());
+        assert!(metrics.rollback_count > 0, "the private chain must win");
     }
 
     #[test]

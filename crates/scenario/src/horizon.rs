@@ -64,7 +64,9 @@ use multihonest_sim::fault::FaultPlan;
 use multihonest_sim::metrics::{Metrics, MetricsAccumulator};
 use multihonest_sim::{BlockId, SimConfig};
 
-use crate::engine::{run_slots, EngineCore, ExecutionArena, ENGINE_KERNEL_VERSION};
+use crate::engine::{
+    run_slots, EngineCore, ExecutionArena, Inline, SlotFold, ENGINE_KERNEL_VERSION,
+};
 use crate::mix;
 use crate::schedule::{ColumnarSchedule, LeaderProbs};
 use crate::store::ADVERSARY;
@@ -470,7 +472,8 @@ pub fn run_horizon_observed<R: Recorder>(
     let mut peak_live = arena.store.len();
     let mut resumed_at = None;
 
-    let mut core = match &resume {
+    let mut core = EngineCore::new(config, &empty_plan, false);
+    let mut state = match &resume {
         Some((rec, _)) => {
             let at = rec.slot as usize;
             if !at.is_multiple_of(seg) || at > total || rec.counts.len() != opts.ks.len() {
@@ -503,18 +506,20 @@ pub fn run_horizon_observed<R: Recorder>(
             compactions = rec.compactions;
             peak_live = rec.peak_live as usize;
             resumed_at = Some(at);
-            let fold = DivergenceFold::resume_at(total, at);
-            let mut core = EngineCore::with_fold(fold, config, &empty_plan, false);
             core.done = at;
-            core.acc = MetricsAccumulator::restore(
+            let acc = MetricsAccumulator::restore(
                 rec.acc_slots as usize,
                 rec.acc_max_div as usize,
                 rec.acc_rollbacks as usize,
             );
-            core.cached_height = rec.root_height as usize;
-            core
+            let fold = DivergenceFold::resume_at(total, at);
+            SlotFold::new(fold, acc, rec.root_height as usize)
         }
-        None => EngineCore::with_fold(DivergenceFold::windowed(total), config, &empty_plan, false),
+        None => SlotFold::new(
+            DivergenceFold::windowed(total),
+            MetricsAccumulator::new(),
+            0,
+        ),
     };
 
     let mut wal = match (&opts.wal, &resume) {
@@ -563,14 +568,17 @@ pub fn run_horizon_observed<R: Recorder>(
                 .expect("the sampling thread draws every segment of the horizon");
             rec.span_end("horizon.sample_wait");
             active_slots += schedule.active_slots();
+            let mut obs = Inline {
+                state: &mut state,
+                sink: &mut (),
+            };
             run_slots(
                 &mut arena,
                 &mut core,
                 config,
                 &schedule,
                 strategy.as_mut(),
-                &mut (),
-                &mut (),
+                &mut obs,
             );
             // Fails only once the sampler has drawn the last segment.
             let _ = spent_tx.send(schedule);
@@ -605,10 +613,10 @@ pub fn run_horizon_observed<R: Recorder>(
                     && arena.ring.is_idle()
                     && strategy.compact_to_root(BlockId::from_index(tip as usize), BlockId::GENESIS)
                 {
-                    debug_assert_eq!(core.cached_div, 0, "unanimous tips imply zero divergence");
+                    debug_assert_eq!(state.div, 0, "unanimous tips imply zero divergence");
                     rec.span_begin("horizon.compaction");
-                    core.fold.advance_base(done, |s, l| agg.drain(s, l));
-                    core.fold.rebase_unanimous_root();
+                    state.fold.advance_base(done, |s, l| agg.drain(s, l));
+                    state.fold.rebase_unanimous_root();
                     let (_, blocks, honest) = arena.best_chain();
                     prefix_blocks += blocks;
                     prefix_honest += honest;
@@ -618,7 +626,7 @@ pub fn run_horizon_observed<R: Recorder>(
                     rec.counter("horizon.compactions", 1);
                     if let Some(w) = &mut wal {
                         rec.span_begin("horizon.wal_append");
-                        let (acc_slots, acc_max_div, acc_rollbacks) = core.acc.state();
+                        let (acc_slots, acc_max_div, acc_rollbacks) = state.acc.state();
                         let appended = w.append(&WalRecord {
                             slot: done as u64,
                             root_slot: arena.store.slot(0) as u64,
@@ -671,7 +679,7 @@ pub fn run_horizon_observed<R: Recorder>(
 
     // Finish: drain the remaining fold window and walk the in-window
     // chain suffix; the evicted prefix lives in the running counters.
-    let EngineCore { fold, acc, .. } = core;
+    let SlotFold { fold, acc, .. } = state;
     fold.finish_windowed(|s, l| agg.drain(s, l));
     let (best_tip, blocks, honest) = arena.best_chain();
     let metrics = acc.finish(

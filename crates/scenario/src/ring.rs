@@ -13,8 +13,52 @@
 //! **clamps** every requested slot into `[broadcast, broadcast + Δ]` and
 //! the horizon — the engine-side enforcement of axiom A4Δ that no
 //! strategy can bypass.
+//!
+//! A delivery to every honest node is one **broadcast entry**
+//! `(ALL, block)` rather than one entry per recipient, so scheduling it
+//! costs one append and the engine can recognise a due list made only
+//! of broadcasts by its tags ([`ALL`], [`expand_broadcasts`]).
 
-/// A bounded-lookahead delivery queue over `(recipient, block)` pairs.
+/// The recipient tag of a **broadcast entry**: `(ALL, block)` stands for
+/// `(0, block), (1, block), …, (nodes − 1, block)` in that order, where
+/// `nodes` is the execution's honest node count.
+pub const ALL: u32 = u32::MAX;
+
+/// Expands every broadcast entry of `due` in place into one entry per
+/// recipient `0..nodes`, ascending, keeping the order of all entries —
+/// the per-recipient list a broadcast stands for. A list without
+/// broadcast entries is left untouched.
+///
+/// # Panics
+///
+/// Panics if `due` holds a broadcast entry and `nodes` is 0.
+pub fn expand_broadcasts(due: &mut Vec<(u32, u32)>, nodes: usize) {
+    let broadcasts = due.iter().filter(|e| e.0 == ALL).count();
+    if broadcasts == 0 {
+        return;
+    }
+    assert!(nodes > 0, "a broadcast needs a recipient");
+    // Grow once, then move every entry to its final place back to front.
+    let len = due.len();
+    due.resize(len + broadcasts * (nodes - 1), (0, 0));
+    let mut end = due.len();
+    for i in (0..len).rev() {
+        let (recipient, block) = due[i];
+        if recipient == ALL {
+            for r in (0..nodes as u32).rev() {
+                end -= 1;
+                due[end] = (r, block);
+            }
+        } else {
+            end -= 1;
+            due[end] = (recipient, block);
+        }
+    }
+    debug_assert_eq!(end, 0);
+}
+
+/// A bounded-lookahead delivery queue over `(recipient, block)` pairs,
+/// where the recipient [`ALL`] marks a broadcast entry.
 #[derive(Debug, Clone)]
 pub struct DeliveryRing {
     delta: usize,
@@ -87,10 +131,12 @@ impl DeliveryRing {
         self.buckets[at % w].push((recipient as u32, block));
     }
 
-    /// Batch form of [`DeliveryRing::schedule_honest`]: the same clamp,
-    /// recipients `0..nodes` ascending, one bucket append — what the
-    /// columnar engine's `deliver_honest_to_all` override lands on
-    /// instead of `nodes` separate dispatches.
+    /// Batch form of [`DeliveryRing::schedule_honest`] for recipients
+    /// `0..nodes` ascending: the same clamp, and one broadcast entry
+    /// `(ALL, block)` — what the columnar engine's
+    /// `deliver_honest_to_all` override lands on instead of `nodes`
+    /// separate dispatches. [`expand_broadcasts`] with the same `nodes`
+    /// turns the drained entry into the per-recipient list.
     pub fn schedule_honest_all(
         &mut self,
         broadcast_slot: usize,
@@ -98,15 +144,17 @@ impl DeliveryRing {
         nodes: usize,
         block: u32,
     ) {
+        debug_assert!(nodes > 0, "a broadcast needs a recipient");
         let latest = (broadcast_slot + self.delta).min(self.slots);
         let at = requested_slot.clamp(broadcast_slot, latest);
         debug_assert!(at - broadcast_slot < self.window());
         let w = self.window();
-        self.buckets[at % w].extend((0..nodes as u32).map(|r| (r, block)));
+        self.buckets[at % w].push((ALL, block));
     }
 
-    /// Batch form of [`DeliveryRing::schedule_adversarial`]: identical
-    /// window/horizon semantics, recipients `0..nodes` ascending.
+    /// Batch form of [`DeliveryRing::schedule_adversarial`] for
+    /// recipients `0..nodes` ascending: identical window/horizon
+    /// semantics, and one broadcast entry `(ALL, block)`.
     ///
     /// # Panics
     ///
@@ -119,6 +167,7 @@ impl DeliveryRing {
         nodes: usize,
         block: u32,
     ) {
+        debug_assert!(nodes > 0, "a broadcast needs a recipient");
         if at_slot < now || at_slot > self.slots {
             return;
         }
@@ -129,7 +178,7 @@ impl DeliveryRing {
             self.window()
         );
         let w = self.window();
-        self.buckets[at_slot % w].extend((0..nodes as u32).map(|r| (r, block)));
+        self.buckets[at_slot % w].push((ALL, block));
     }
 
     /// Schedules an adversarial delivery at `at_slot` (which must be at
@@ -164,7 +213,9 @@ impl DeliveryRing {
 
     /// Swaps the deliveries due at the end of `slot` into `out` (cleared
     /// first) and leaves the bucket empty for reuse one window later.
-    /// Must be called once per slot, in increasing order.
+    /// Entries keep their scheduling order, broadcast entries included
+    /// as `(ALL, block)`. Must be called once per slot, in increasing
+    /// order.
     pub fn drain_into(&mut self, slot: usize, out: &mut Vec<(u32, u32)>) {
         out.clear();
         let w = self.window();
@@ -235,6 +286,41 @@ mod tests {
         assert!(out.is_empty());
         ring.drain_into(5, &mut out);
         assert_eq!(out, vec![(1, 9)]);
+    }
+
+    #[test]
+    fn broadcasts_drain_as_tagged_entries() {
+        let mut ring = DeliveryRing::new(2, 2, 10);
+        let mut out = Vec::new();
+        // Clamped like the per-recipient form, one entry per broadcast.
+        ring.schedule_honest_all(3, 9, 4, 7);
+        ring.drain_into(5, &mut out);
+        assert_eq!(out, vec![(ALL, 7)]);
+        // Beyond the horizon: dropped like the per-recipient form.
+        ring.schedule_adversarial_all(9, 11, 4, 8);
+        ring.drain_into(10, &mut out);
+        assert!(out.is_empty());
+
+        // A mixed bucket keeps the scheduling order of every entry.
+        ring.schedule_honest_all(6, 6, 4, 1);
+        ring.schedule_honest(6, 6, 2, 2);
+        ring.schedule_adversarial_all(6, 6, 4, 3);
+        ring.drain_into(6, &mut out);
+        assert_eq!(out, vec![(ALL, 1), (2, 2), (ALL, 3)]);
+        assert!(ring.is_idle());
+        expand_broadcasts(&mut out, 4);
+        let per_recipient: Vec<(u32, u32)> = (0..4)
+            .map(|r| (r, 1))
+            .chain([(2, 2)])
+            .chain((0..4).map(|r| (r, 3)))
+            .collect();
+        assert_eq!(out, per_recipient);
+        // Expanding a list without broadcasts changes nothing.
+        expand_broadcasts(&mut out, 4);
+        assert_eq!(out, per_recipient);
+        let mut single = vec![(ALL, 5)];
+        expand_broadcasts(&mut single, 1);
+        assert_eq!(single, vec![(0, 5)]);
     }
 
     #[test]

@@ -239,16 +239,21 @@ impl ColumnarSchedule {
         self.adversarial.clear();
         self.adversarial.reserve(slots);
         self.start.push(0);
+        // Draw from a local copy of the generator and store it back once:
+        // through `rng` the state may alias the columns a `push` can
+        // reallocate, so each draw would write it back to memory.
+        let mut local = rng.clone();
         for _ in 0..slots {
             for (node, &threshold) in probs.honest.iter().enumerate() {
-                if elects(rng.next_u64(), threshold) {
+                if elects(local.next_u64(), threshold) {
                     self.honest.push(node as u32);
                 }
             }
             self.start.push(self.honest.len() as u32);
             self.adversarial
-                .push(elects(rng.next_u64(), probs.adversarial));
+                .push(elects(local.next_u64(), probs.adversarial));
         }
+        *rng = local;
         // One branch-free pass after the draws; u32 lanes (the width of
         // the `start` offsets) let it vectorise: 0.4 µs per 1,000 slots
         // on a 2-vCPU Xeon, where each of the two rescans per execution

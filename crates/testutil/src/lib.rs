@@ -515,7 +515,7 @@ pub mod golden {
     /// streaming its events into `sink`.
     ///
     /// [`run_streaming_validated`]: multihonest::scenario::run_streaming_validated
-    fn run_validated_preset<S: multihonest::sim::MetricsSink>(
+    fn run_validated_preset<S: multihonest::sim::MetricsSink + Send>(
         name: &str,
         seed: u64,
         slots: usize,

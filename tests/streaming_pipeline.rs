@@ -4,8 +4,10 @@
 //! executions on **both** engines, the streamed columnar fork must be
 //! bit-identical to the reference engine's extraction, the laws must
 //! hold at every horizon around the kernel → fork-fold hand-off
-//! boundaries, and the frozen 10⁵-slot streaming-validation
-//! fingerprints in `testutil` must reproduce exactly.
+//! boundaries, the sink events the fork-fold thread replays must equal
+//! the plain kernel's for every scenario and fault preset, and the
+//! frozen 10⁵-slot streaming-validation fingerprints in `testutil` must
+//! reproduce exactly.
 
 use multihonest::fork::validate::validate_delta;
 use multihonest::margin::recurrence;
@@ -13,7 +15,7 @@ use multihonest::prelude::*;
 use multihonest::scenario::{
     run_streaming_validated_faults_in, ColumnarSchedule, ExecutionArena, HANDOFF_SLOTS,
 };
-use multihonest::sim::{FaultDirective, FaultPlan, MetricsSink};
+use multihonest::sim::{AdversaryStrategy, FaultDirective, FaultPlan, MetricsSink};
 // `Strategy` would be ambiguous between the prelude's enum and
 // proptest's trait under two glob imports — pin the enum explicitly.
 use multihonest::sim::Strategy;
@@ -137,6 +139,97 @@ fn handoff_boundaries_preserve_the_streaming_laws() {
         }
     }
     assert!(invalid > 0, "some partition must break Δ-synchrony");
+}
+
+/// The sink events a plain and a validated run both emit, in arrival
+/// order (the margin channel is the validated run's alone).
+#[derive(Debug, Default)]
+struct KernelEvents(Vec<(u8, [usize; 4])>);
+
+impl MetricsSink for KernelEvents {
+    fn on_rollback(&mut self, slot: usize, old_height: usize, new_height: usize) {
+        self.0.push((1, [slot, old_height, new_height, 0]));
+    }
+    fn on_slot(&mut self, slot: usize, tips: usize, height: usize, divergence: usize) {
+        self.0.push((2, [slot, tips, height, divergence]));
+    }
+    fn on_fault_deferral(&mut self, slot: usize, recipient: usize, deferred_to: usize) {
+        self.0.push((4, [slot, recipient, deferred_to, 0]));
+    }
+}
+
+/// The observer law: the validated pipeline, which folds and streams
+/// every observation on its `fork-fold` thread, emits the plain
+/// kernel's `on_slot` / `on_rollback` / `on_fault_deferral` stream event
+/// by event, and returns its metrics, settlement index and fault
+/// ledger — for every scenario preset and every fault preset under its
+/// plan, over a horizon crossing two hand-offs.
+#[test]
+fn validated_sink_stream_equals_the_plain_kernels() {
+    use multihonest::scenario::{fault_library, scenario_library, ColumnarSimulation};
+    let slots = 2 * HANDOFF_SLOTS + 101;
+    let seed = 5;
+    // Each case carries one strategy instance per run.
+    type Case = (
+        &'static str,
+        SimConfig,
+        ColumnarSchedule,
+        FaultPlan,
+        [Box<dyn AdversaryStrategy>; 2],
+    );
+    let mut cases: Vec<Case> = Vec::new();
+    for sc in scenario_library(slots) {
+        let strategies = [sc.strategy(), sc.strategy()];
+        cases.push((
+            sc.name,
+            sc.config,
+            sc.schedule(seed),
+            FaultPlan::default(),
+            strategies,
+        ));
+    }
+    for sc in fault_library(slots) {
+        let strategies = [0, 1].map(|_| sc.config.strategy.instantiate());
+        cases.push((sc.name, sc.config, sc.schedule(seed), sc.plan, strategies));
+    }
+    let mut arena = ExecutionArena::new();
+    let (mut deferrals, mut rollbacks) = (0, 0);
+    for (name, config, schedule, plan, [mut first, mut second]) in cases {
+        let mut plain = KernelEvents::default();
+        let (metrics, divergence, ledger) = ColumnarSimulation::run_streaming_faults_in(
+            &mut arena,
+            &config,
+            &schedule,
+            first.as_mut(),
+            &plan,
+            &mut plain,
+        );
+        let mut piped = KernelEvents::default();
+        let out = run_streaming_validated_faults_in(
+            &mut arena,
+            &config,
+            &schedule,
+            second.as_mut(),
+            &plan,
+            &mut piped,
+        );
+        assert_eq!(piped.0.len(), plain.0.len(), "{name}: event count");
+        if let Some(i) = (0..plain.0.len()).find(|&i| piped.0[i] != plain.0[i]) {
+            panic!(
+                "{name}: event {i} differs: validated {:?}, plain {:?}",
+                piped.0[i], plain.0[i]
+            );
+        }
+        assert_eq!(out.metrics, metrics, "{name}: metrics");
+        assert_eq!(out.divergence, divergence, "{name}: settlement index");
+        assert_eq!(out.ledger, ledger, "{name}: fault ledger");
+        deferrals += ledger.deferred;
+        rollbacks += metrics.rollback_count;
+    }
+    assert!(
+        deferrals > 0 && rollbacks > 0,
+        "the streams must carry both"
+    );
 }
 
 /// The fault plan of one proptest case: `0` is the empty plan, the rest
