@@ -3,8 +3,8 @@
 //! ```bash
 //! # quick subset (well under a second):
 //! cargo run -p multihonest-bench --release --bin table1 -- --quick
-//! # the full published grid (36 exact-DP passes, about 1 s of CPU time on a
-//! # 2-vCPU Xeon, split over the worker threads):
+//! # the full published grid (36 exact-DP passes, about 1.0 s of CPU time on
+//! # a 2-vCPU Xeon, split over the worker threads):
 //! cargo run -p multihonest-bench --release --bin table1
 //! # machine-readable output:
 //! cargo run -p multihonest-bench --release --bin table1 -- --quick --json

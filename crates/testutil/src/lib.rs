@@ -201,6 +201,72 @@ pub mod golden {
         }
     }
 
+    /// The horizons of [`TABLE1_BITWISE_PINS`], short enough for a debug
+    /// build.
+    pub const TABLE1_BITWISE_KS: [usize; 2] = [50, 100];
+
+    /// Bitwise pins of the exact DP over every published Table-1
+    /// condition, `(alpha, ratio, bits)`: `bits` are the `f64::to_bits`
+    /// of `violation_probabilities(&TABLE1_BITWISE_KS)` (ratio-major, as
+    /// in the paper), frozen from the scatter-form kernel before the
+    /// gather rewrite. Unlike [`EXACT_PIN_CELLS`] (1e-12) they are
+    /// compared exactly: every cell of the DP adds its contributions in a
+    /// fixed order, so any reordering shows.
+    pub const TABLE1_BITWISE_PINS: &[(f64, f64, [u64; 2])] = &[
+        (0.01, 1.0, [0x3a55_0bac_8736_fd3f, 0x34e1_767c_9256_d420]),
+        (0.10, 1.0, [0x3e13_ffe0_e744_15e3, 0x3c57_864b_0890_37e4]),
+        (0.20, 1.0, [0x3f16_c405_227a_eda3, 0x3e58_7528_e714_9e5e]),
+        (0.30, 1.0, [0x3f93_03f1_913f_86dc, 0x3f4a_39a0_1622_859a]),
+        (0.40, 1.0, [0x3fd2_ad38_e383_9bb7, 0x3fc1_9815_8c12_e2dc]),
+        (0.49, 1.0, [0x3fed_b1c2_0ec8_77d0, 0x3fec_f5b2_45c5_fb80]),
+        (0.01, 0.9, [0x3a95_9d46_68f1_abee, 0x3557_56ad_d1ca_063a]),
+        (0.10, 0.9, [0x3e20_d350_a4d1_3c9e, 0x3c6c_8904_6b2f_63ad]),
+        (0.20, 0.9, [0x3f1c_6b51_183a_ac40, 0x3e61_6923_f696_bf81]),
+        (0.30, 0.9, [0x3f95_012d_b55f_ea65, 0x3f4e_63c4_3271_0aa7]),
+        (0.40, 0.9, [0x3fd3_5868_ac7a_ef79, 0x3fc2_7340_f678_6194]),
+        (0.49, 0.9, [0x3fed_c56c_5565_214d, 0x3fed_0c9e_ee86_d0f9]),
+        (0.01, 0.8, [0x3b01_004e_cf8d_3a44, 0x3622_0454_3440_0e2a]),
+        (0.10, 0.8, [0x3e30_cbb2_ea4a_0567, 0x3c87_cd76_96a2_9b10]),
+        (0.20, 0.8, [0x3f22_c82c_2b59_bf96, 0x3e6b_63ce_86b6_e24e]),
+        (0.30, 0.8, [0x3f97_b5a5_bf6b_5cc6, 0x3f52_3bb1_f0f7_f1ce]),
+        (0.40, 0.8, [0x3fd4_2b85_a42f_359d, 0x3fc3_888e_d0ee_a807]),
+        (0.49, 0.8, [0x3fed_dc4f_6c39_ae1b, 0x3fed_2783_f10b_7ea4]),
+        (0.01, 0.5, [0x3d17_db16_4900_2ee5, 0x3a43_009b_9705_5322]),
+        (0.10, 0.5, [0x3e8c_2b9c_e210_21d9, 0x3d32_5ea1_ae3e_5974]),
+        (0.20, 0.5, [0x3f44_1214_ab59_a1a4, 0x3ea4_d42c_c9da_b688]),
+        (0.30, 0.5, [0x3fa5_419d_1c4d_5bc2, 0x3f66_ec36_7f72_0241]),
+        (0.40, 0.5, [0x3fd8_5a20_e3bd_26c8, 0x3fc9_8289_8f66_a807]),
+        (0.49, 0.5, [0x3fee_3e89_728c_9c0e, 0x3fed_9db7_ec50_88e8]),
+        (0.01, 0.25, [0x3eb2_79da_6887_c715, 0x3d75_849b_3fdf_28cb]),
+        (0.10, 0.25, [0x3f26_3b3e_392c_613f, 0x3e60_cc7b_f60e_ab5a]),
+        (0.20, 0.25, [0x3f81_e417_434e_56d6, 0x3f17_6eab_e5db_cf14]),
+        (0.30, 0.25, [0x3fbd_9cad_1b3d_a70e, 0x3f90_dc83_83c5_002c]),
+        (0.40, 0.25, [0x3fe0_82a0_d62f_89c1, 0x3fd4_5121_0252_31de]),
+        (0.49, 0.25, [0x3fee_d14d_5dff_8a59, 0x3fee_5796_d653_26d8]),
+        (0.01, 0.01, [0x3fe3_a7d5_1afb_ac3f, 0x3fd8_2622_9f41_7082]),
+        (0.10, 0.01, [0x3fe6_6604_b2df_66ff, 0x3fdf_6475_f30f_cbb8]),
+        (0.20, 0.01, [0x3fe9_8520_8a87_87e9, 0x3fe4_67d4_f3e5_6abd]),
+        (0.30, 0.01, [0x3fec_7644_4557_fc84, 0x3fe9_6da0_4f76_6a75]),
+        (0.40, 0.01, [0x3fee_c7b8_80fd_f1e4, 0x3fed_c8ef_634f_48a8]),
+        (0.49, 0.01, [0x3fef_ee15_02ae_169c, 0x3fef_e52d_5fcd_f8d4]),
+    ];
+
+    /// Asserts every [`TABLE1_BITWISE_PINS`] entry bit for bit.
+    pub fn assert_table1_bitwise_pins() {
+        for &(alpha, ratio, bits) in TABLE1_BITWISE_PINS {
+            let exact = ExactSettlement::new(presets::table1_condition(alpha, ratio));
+            let ps = exact.violation_probabilities(&TABLE1_BITWISE_KS);
+            for ((p, pinned), k) in ps.iter().zip(bits).zip(TABLE1_BITWISE_KS) {
+                assert_eq!(
+                    p.to_bits(),
+                    pinned,
+                    "Table-1 DP drifted at α={alpha} ratio={ratio} k={k}: got {p:e}, pinned {:e}",
+                    f64::from_bits(pinned)
+                );
+            }
+        }
+    }
+
     /// Frozen settled-slot counts of the canonical simulation presets:
     /// `(preset name, seed, k, |{s ∈ 1..=slots : (s, k) settled}|)`,
     /// computed through the indexed consistency layer and frozen at the

@@ -2,8 +2,8 @@
 //! probabilities. The published cells live in `multihonest_testutil::golden`
 //! as one golden table, compared within 5% relative tolerance (the paper's
 //! code truncates/rounds slightly differently); a second tier of
-//! full-precision regression pins catches any drift in the margin DP
-//! exactly.
+//! full-precision regression pins (1e-12 relative, and bit for bit across
+//! every published condition) catches any drift in the margin DP.
 //!
 //! The full table is regenerated by
 //! `cargo run -p multihonest-bench --release --bin table1`.
@@ -32,6 +32,14 @@ fn margin_dp_matches_frozen_pins_exactly() {
     // accumulation — trips this before the 5% published-value checks
     // would notice.
     golden::assert_exact_pins();
+}
+
+#[test]
+fn table1_conditions_match_bitwise_pins() {
+    // All 36 published (α, ratio) pairs at k ∈ {50, 100}, compared by
+    // to_bits: the DP's summation order is part of its contract, and the
+    // 1e-12 pins above would let a reordered accumulation through.
+    golden::assert_table1_bitwise_pins();
 }
 
 #[test]
